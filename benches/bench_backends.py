@@ -2,7 +2,8 @@
 
 The hot kernels are big-integer bound, so the package selects gmpy2's mpq at
 import time and falls back to fractions.Fraction otherwise.  This benchmark
-re-executes representative workloads in a subprocess per backend:
+re-executes representative workloads in a subprocess per backend, and skips
+(and names) a backend whose rational core cannot be imported:
 
     python benches/bench_backends.py
 """
@@ -17,7 +18,11 @@ import textwrap
 WORKLOAD = textwrap.dedent(
     """
     import time, json
-    import annuli._ratio as ratio
+    try:
+        import annuli._ratio as ratio
+    except ImportError as exc:
+        print(json.dumps({"skipped": str(exc)}))
+        raise SystemExit(0)
     from annuli.laurent import LaurentPoly, make_poly, resultant, poly_gcd
     from annuli.catalog import gen_series, series_id
     from annuli.certify import ph_ledger, embedding_verdict
@@ -61,16 +66,25 @@ def run(backend: str) -> dict:
 
 
 def main():
-    rows = [run("gmpy2"), run("fractions")]
+    rows = []
+    for backend in ("gmpy2", "fractions"):
+        row = run(backend)
+        if "skipped" in row:
+            print(f"skipped backend {backend}: {row['skipped']}")
+        else:
+            rows.append(row)
+    if not rows:
+        return
     keys = [k for k in rows[0] if k != "backend"]
     width = max(len(k) for k in keys) + 2
     print(f"{'kernel':<{width}} " + "  ".join(f"{r['backend']:>10}" for r in rows))
     for k in keys:
         print(f"{k:<{width}} " + "  ".join(f"{r[k]:>9.3f}s" for r in rows))
-    base, alt = rows[0], rows[1]
-    for k in keys:
-        if base[k] > 0:
-            print(f"  {k}: fallback / compiled = {alt[k] / max(base[k], 1e-9):.1f}x")
+    if len(rows) == 2:
+        base, alt = rows
+        for k in keys:
+            if base[k] > 0:
+                print(f"  {k}: fallback / compiled = {alt[k] / max(base[k], 1e-9):.1f}x")
 
 
 if __name__ == "__main__":

@@ -8,9 +8,10 @@ kernels below work on dense coefficient lists internally.
 
 from __future__ import annotations
 
+from math import gcd, isqrt, lcm
 from typing import Iterable
 
-from ._ratio import int_gcd
+from ._ratio import QQ, int_gcd
 from .scalars import Scalar, ZERO, ONE
 
 
@@ -250,13 +251,6 @@ class LaurentPoly:
             return self
         return self * self.lc().inv()
 
-    def poly_part_and_pole(self) -> tuple["LaurentPoly", int]:
-        """Write self = A(t) / t^a with A(0) != 0 (a may be <= 0 for zero-rooted A)."""
-        if self.is_zero():
-            return self, 0
-        b = self.bot()
-        return self.shift(-b), -b
-
     def __eq__(self, other):
         if not isinstance(other, LaurentPoly):
             return NotImplemented
@@ -335,14 +329,102 @@ def poly_divmod(f: LaurentPoly, g: LaurentPoly) -> tuple[LaurentPoly, LaurentPol
 
 
 def poly_gcd(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
-    """Monic gcd of plain polynomials; gcd(f, 0) = monic(f)."""
+    """Monic gcd of plain polynomials; gcd(f, 0) = monic(f).
+
+    Over Q (field tag 1) the heuristic integer gcd answers; the Euclidean
+    loop runs over Q(sqrt d) and when the heuristic gives up.
+    """
     a, b = _dense(f), _dense(g)
+    if a and b and f.field_tag() == 1 and g.field_tag() == 1:
+        h = _heuristic_gcd(_primitive_zz(a), _primitive_zz(b))
+        if h is not None:
+            return LaurentPoly({e: Scalar(QQ(c, h[-1])) for e, c in enumerate(h)})
+    return _euclid_gcd(a, b)
+
+
+def _euclid_gcd(a: list[Scalar], b: list[Scalar]) -> LaurentPoly:
+    """Monic gcd by the Euclidean remainder loop over the scalar field."""
     while b and _trim(list(b)):
         _, r = _divmod_dense(a, b)
         a, b = b, r
     a = _trim(list(a))
     out = _from_dense(a)
     return out.monic()
+
+
+# Heuristic gcd (Char, Geddes & Gonnet, "GCDHEU", J. Symb. Comp. 1989): the
+# gcd of two integer values at a large point xi, read back in base xi.  At
+# most _HEU_TRIES points are tried, and none once bits(xi) * degree passes
+# _HEU_MAX_BITS, where integer gcds get too long to beat the Euclidean loop.
+_HEU_TRIES = 6
+_HEU_MAX_BITS = 1 << 17
+
+
+def _primitive_zz(cs: list[Scalar]) -> list[int]:
+    """The primitive integer polynomial proportional to a rational one."""
+    den = lcm(*(int(c.a.denominator) for c in cs))
+    ints = [int(c.a.numerator) * (den // int(c.a.denominator)) for c in cs]
+    g = gcd(*ints)
+    return [v // g for v in ints]
+
+
+def _heuristic_gcd(a: list[int], b: list[int]) -> list[int] | None:
+    """Primitive gcd in Z[t] with a positive leading coefficient, or None.
+
+    A candidate is accepted only when it divides both inputs exactly; with
+    xi >= 2 min(|a|, |b|) + 2 (|.| the largest absolute coefficient) a
+    candidate that divides both is the gcd.
+    """
+    if len(a) == 1 or len(b) == 1:
+        return [1]
+    deg = max(len(a), len(b)) - 1
+    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
+    for _ in range(_HEU_TRIES):
+        if xi.bit_length() * deg > _HEU_MAX_BITS:
+            return None
+        h = _xi_adic(gcd(_horner(a, xi), _horner(b, xi)), xi)
+        if h and len(h) <= min(len(a), len(b)):
+            c = gcd(*h) if h[-1] > 0 else -gcd(*h)
+            h = [v // c for v in h]
+            if _divides_zz(h, a) and _divides_zz(h, b):
+                return h
+        # the growth used by later GCDHEU implementations: about xi^(5/4)
+        xi = xi * 73794 * isqrt(isqrt(xi)) // 27011
+    return None
+
+
+def _horner(cs: list[int], x: int) -> int:
+    v = 0
+    for c in reversed(cs):
+        v = v * x + c
+    return v
+
+
+def _xi_adic(v: int, xi: int) -> list[int]:
+    """Digits of v in base xi, each in the symmetric range (-xi/2, xi/2]."""
+    half = xi // 2
+    out = []
+    while v:
+        r = v % xi
+        if r > half:
+            r -= xi
+        out.append(r)
+        v = (v - r) // xi
+    return out
+
+
+def _divides_zz(h: list[int], f: list[int]) -> bool:
+    """True when h divides f in Z[t] (h with a nonzero leading coefficient)."""
+    f = list(f)
+    dh, lc = len(h) - 1, h[-1]
+    for k in range(len(f) - 1, dh - 1, -1):
+        q, r = divmod(f[k], lc)
+        if r:
+            return False
+        if q:
+            for i in range(dh):
+                f[k - dh + i] -= q * h[i]
+    return not any(f[:dh])
 
 
 def squarefree_part(f: LaurentPoly) -> LaurentPoly:

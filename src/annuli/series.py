@@ -275,18 +275,6 @@ class TS:
         return " + ".join(parts)
 
 
-def _mul_trunc(ring, a: list, b: list, n: int) -> list:
-    out = [ring.zero()] * n
-    for i, u in enumerate(a):
-        if i >= n or ring.is_zero(u):
-            continue
-        for j, v in enumerate(b):
-            if i + j >= n:
-                break
-            out[i + j] = ring.add(out[i + j], ring.mul(u, v))
-    return out
-
-
 def laurent_at_shifted_point(ring, f: LaurentPoly, center, window: int) -> TS:
     """Series of f(c + tau) in tau, where c is a unit of `ring`, to O(tau^window).
 

@@ -68,6 +68,17 @@ def test_injectivity_negative_fixtures_with_witnesses():
             assert w.point is not None
 
 
+def test_binomial_pair_with_spans_7_and_8_self_intersects():
+    # x = -3t^5 - 3t^-2, y = t^2 + 2t^-6: its squarefree eliminant over Q
+    # once took seconds in the Euclidean gcd loop
+    c = ParametricCurve(LaurentPoly({5: -3, -2: -3}), LaurentPoly({2: 1, -6: 2}))
+    cert = injectivity_certificate(c)
+    assert cert.verdict == "SelfIntersection"
+    assert cert.witnesses
+    for w in cert.witnesses:
+        assert verify_witness(c, w)
+
+
 def test_witness_transforms_with_automorphisms():
     c = fixture_narrow_quartic()
     moves = [

@@ -1,10 +1,15 @@
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from annuli import laurent
 from annuli.laurent import (
     EvalAtPole,
     LaurentPoly,
     NotDivisible,
+    _dense,
+    _euclid_gcd,
     laurent_arith,
     make_poly,
     poly_gcd,
@@ -109,3 +114,85 @@ def test_squarefree_divides_and_coprime_with_derivative(f):
     sf = squarefree_part(f)
     assert f.divexact(sf) is not None  # exact by construction
     assert poly_gcd(sf, sf.derivative()).is_constant()
+
+
+# -- the heuristic integer gcd over Q against the Euclidean loop ---------------
+
+big_or_rational = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    st.integers(min_value=-(2**64), max_value=2**64),
+    st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4),
+)
+
+
+def rational_polys(max_deg):
+    return st.lists(big_or_rational, min_size=1, max_size=max_deg + 1).map(
+        lambda cs: LaurentPoly({i: Scalar(f"{c.numerator}/{c.denominator}") for i, c in enumerate(cs)})
+    )
+
+
+def euclid(f, g):
+    return _euclid_gcd(_dense(f), _dense(g))
+
+
+@given(
+    rational_polys(5),
+    rational_polys(5),
+    rational_polys(3),
+    st.sampled_from(["plain", "planted", "divides", "constant"]),
+)
+@settings(max_examples=150, deadline=None)
+def test_poly_gcd_matches_euclidean_loop(f, g, c, shape):
+    if shape == "planted":
+        f, g = f * c, g * c
+    elif shape == "divides":
+        g = f * c
+    elif shape == "constant":
+        g = LaurentPoly.const(c[0]) if not c[0].is_zero() else LaurentPoly.const(1)
+    assert poly_gcd(f, g) == euclid(f, g)
+    assert poly_gcd(g, f) == euclid(g, f)
+
+
+def test_heuristic_gcd_finds_planted_factor_with_64_bit_coefficients():
+    common = make_poly(2**64 - 59, -(2**63) + 25, 3)
+    f = common * make_poly(2**61 + 1, 7, -(2**64))
+    g = common * make_poly(-5, 2**64 - 1) * common
+    h = laurent._heuristic_gcd(laurent._primitive_zz(_dense(f)), laurent._primitive_zz(_dense(g)))
+    assert h is not None
+    assert poly_gcd(f, g) == common.monic() == euclid(f, g)
+
+
+def test_quadratic_field_inputs_take_the_euclidean_loop():
+    r2 = Scalar.sqrt_of(2)
+    f = (t(1) - r2) * (t(1) + 1)
+    g = (t(1) - r2) * (t(1) - 3)
+    with mock.patch.object(laurent, "_heuristic_gcd", side_effect=AssertionError("heuristic over Q(sqrt 2)")):
+        assert poly_gcd(f, g) == t(1) - r2
+        assert poly_gcd(f, (t(1) + 1) * (t(1) - 5)) == t(1) + 1
+        assert poly_gcd(f, g) == euclid(f, g)
+
+
+@pytest.mark.parametrize("limit", ["_HEU_TRIES", "_HEU_MAX_BITS"])
+def test_heuristic_give_up_falls_back_to_the_same_result(monkeypatch, limit):
+    pairs = [
+        (make_poly(-1, 0, 0, 1), make_poly(-1, 0, 1)),
+        (make_poly(1, -2, 1) * make_poly(3, 0, 2**64), make_poly(-1, 1) * make_poly(Scalar("5/7"), 1)),
+        (make_poly(4, 4, 1), make_poly(2)),
+    ]
+    sqfree = [make_poly(1, -2, 1) * make_poly(1, 1, 1), make_poly(-1, 0, 0, 1) ** 3 * make_poly(2**64, 3)]
+    before = [poly_gcd(f, g) for f, g in pairs], [squarefree_part(f) for f in sqfree]
+    monkeypatch.setattr(laurent, limit, 0)
+    for f, g in pairs[:2]:
+        assert laurent._heuristic_gcd(laurent._primitive_zz(_dense(f)), laurent._primitive_zz(_dense(g))) is None
+    after = [poly_gcd(f, g) for f, g in pairs], [squarefree_part(f) for f in sqfree]
+    assert after == before
+    assert before[0][0] == make_poly(-1, 1)
+    assert before[1][0] == make_poly(-1, 0, 0, 1)
+
+
+def test_poly_gcd_rejects_negative_exponents():
+    laurent_f = LaurentPoly({-1: 1, 1: 1})
+    with pytest.raises(ValueError):
+        poly_gcd(laurent_f, make_poly(1, 1))
+    with pytest.raises(ValueError):
+        poly_gcd(make_poly(1, 1), laurent_f)
