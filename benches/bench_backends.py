@@ -25,7 +25,7 @@ WORKLOAD = textwrap.dedent(
         raise SystemExit(0)
     from annuli.laurent import LaurentPoly, make_poly, resultant, poly_gcd
     from annuli.catalog import gen_series, series_id
-    from annuli.certify import ph_ledger, embedding_verdict
+    from annuli.certify import ph_ledger, embedding_verdict, oracle_delta_at_factor
     from annuli.scalars import Scalar
 
     out = {"backend": ratio.BACKEND}
@@ -49,6 +49,14 @@ WORKLOAD = textwrap.dedent(
         ph_ledger(c)
         embedding_verdict(c, with_ledger=False)
     out["certify_three_curves"] = round(time.time() - t0, 3)
+
+    # the semigroup oracle at a rational point, with the grid check's bound
+    c = gen_series(series_id("q", m=2, n=1))
+    point = make_poly(-1, 1)  # t - 1
+    e = next(e for e in ph_ledger(c).finite if e.factor == point)
+    t0 = time.time()
+    oracle_delta_at_factor(c, point, bound=e.mu + e.n + 4)
+    out["oracle_rational_point"] = round(time.time() - t0, 3)
 
     print(json.dumps(out))
     """

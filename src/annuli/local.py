@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from ._ratio import rat
+from ._ratio import rat, rat_str
 from .curves import ExponentProfile, ParametricCurve, exponent_profile
 from .laurent import LaurentPoly, poly_gcd, squarefree_part
 from .rings import BranchState, SCALARS, explore_branches
@@ -670,12 +670,13 @@ class TangencyData:
     far_inf: int
     far_0: int
     lead_match: bool  # E_1^{p_1} = F_1^{p_1}
-    third_term_closed_form: int  # the published closed form, evaluated verbatim
+    third_term_closed_form: Fraction  # the published closed form, evaluated verbatim
     third_term_direct: int  # from the directly computed indices
     third_term_mismatch: bool
     common_block: list  # [(lattice_pos, coeff_is_zero)] for the surviving coset
 
     def as_dict(self) -> dict:
+        closed = self.third_term_closed_form
         return {
             "u": self.u,
             "v": self.v_lattice,
@@ -684,7 +685,7 @@ class TangencyData:
             "index_inf": self.index_inf,
             "index_0": self.index_0,
             "lead_match": self.lead_match,
-            "third_term_closed_form": self.third_term_closed_form,
+            "third_term_closed_form": int(closed) if closed.denominator == 1 else rat_str(closed),
             "third_term_direct": self.third_term_direct,
             "third_term_mismatch": self.third_term_mismatch,
         }
@@ -810,9 +811,7 @@ def tangency_delta(curve: ParametricCurve, delta2max: int, pl_inf: PlaceAnalysis
     if mode == "none":
         raise ValueError("tangency analysis requires ps = rq with shared dominance")
     if mode == "y":
-        sw = tangency_delta(curve.swapped(), delta2max)
-        sw.index_inf, sw.index_0 = sw.index_inf, sw.index_0
-        return sw
+        return tangency_delta(curve.swapped(), delta2max)
     p, q, r, s = prof.p, prof.q, prof.r, prof.s
     L = lcm(p, r)
     v_lat = gcd(p, r)
@@ -893,7 +892,7 @@ def _pair_sum(chain: ChainData) -> int:
     return out
 
 
-def _third_term_closed_form(prof, vpossed, deaths, L: int, v_lat: int) -> int:
+def _third_term_closed_form(prof, vpossed, deaths, L: int, v_lat: int) -> Fraction:
     """The published closed form of the coincidence term, evaluated verbatim.
 
     Kept for cross-validation only; the certificate always uses the direct
@@ -916,5 +915,4 @@ def _third_term_closed_form(prof, vpossed, deaths, L: int, v_lat: int) -> int:
     if deaths:
         last = deaths[-1][0]
         mx = Fraction(abs(last) * v_lat, L)
-    val = 2 * prof.p * prof.q * (Fraction(total) + mx)
-    return int(val) if val.denominator == 1 else float(val)  # printed value may be fractional
+    return 2 * prof.p * prof.q * (Fraction(total) + mx)

@@ -8,6 +8,8 @@ yields byte-identical JSON.
 from __future__ import annotations
 
 import json
+import os
+import traceback
 
 from .catalog import SeriesId, expected_invariants, gen_series, match_expected
 from .certify import (
@@ -108,7 +110,20 @@ def verify_catalog_entry(sid: SeriesId) -> dict:
     except Exception as exc:
         out["status"] = "error"
         out["reason"] = f"{type(exc).__name__}: {exc}"
+        out["traceback"] = _traceback_tail(exc)
     return out
+
+
+_TRACEBACK_FRAMES = 6
+
+
+def _traceback_tail(exc: BaseException) -> list[str]:
+    """The innermost frames of `exc` as 'file.py:line in function', outermost first.
+
+    File names are bare so that the entry reads the same on every install.
+    """
+    frames = traceback.extract_tb(exc.__traceback__)[-_TRACEBACK_FRAMES:]
+    return [f"{os.path.basename(f.filename)}:{f.lineno} in {f.name}" for f in frames]
 
 
 def _verify_place_notes(curve: ParametricCurve, notes: dict) -> bool | None:

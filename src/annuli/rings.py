@@ -8,7 +8,8 @@ on each branch (:func:`explore_branches`).
 
 Rings form towers: a :class:`Quotient` may sit over another Quotient (used to
 adjoin roots of units for standard Puiseux forms).  Splits at any level
-propagate out with the key of the level that must be refined.
+propagate out with the key of the level that must be refined.  A linear
+modulus gives a :class:`LinearQuotient`, which is its base ring itself.
 """
 
 from __future__ import annotations
@@ -274,6 +275,34 @@ class Quotient:
         return " + ".join(parts) if parts else "0"
 
 
+class LinearQuotient:
+    """base[s] / (s - root): canonically the base ring itself.
+
+    Elements are the base's own elements and every operation is the base's
+    method, so a rational point computes in Q with no 1-tuples around each
+    value.  A linear modulus is irreducible and never splits.
+    """
+
+    _BASE_OPS = (
+        "zero", "one", "from_scalar", "add", "neg", "sub", "mul", "pow",
+        "inv", "is_zero", "decide_zero", "eq", "as_scalar", "to_repr",
+    )
+
+    def __init__(self, base, root, key: str):
+        self.base = base
+        self.key = key
+        self.root = root
+        for name in self._BASE_OPS:
+            setattr(self, name, getattr(base, name))
+
+    def gen(self):
+        """The adjoined root s, an element of the base."""
+        return self.root
+
+    def from_base(self, x):
+        return x
+
+
 # ---------------------------------------------------------------------------
 # dense polynomial arithmetic over an arbitrary ring (lists low -> high)
 # ---------------------------------------------------------------------------
@@ -357,8 +386,17 @@ class BranchState:
         d[key] = list(mod)
         return BranchState(d)
 
-    def quotient(self, base, key: str, default_modulus: list) -> Quotient:
-        return Quotient(base, self.modulus(key, default_modulus), key)
+    def quotient(self, base, key: str, default_modulus: list):
+        """base[s]/(m) for this branch's modulus m at level `key`.
+
+        A linear m = m1 s + m0 gives the base ring itself with s = -m0/m1
+        (:class:`LinearQuotient`); any other degree gives a :class:`Quotient`.
+        """
+        mod = _trim(base, self.modulus(key, default_modulus))
+        if len(mod) == 2:
+            root = base.neg(base.mul(mod[0], base.inv(mod[1])))
+            return LinearQuotient(base, root, key)
+        return Quotient(base, mod, key)
 
 
 def explore_branches(fn: Callable[[BranchState], object], seed: BranchState | None = None) -> list:

@@ -286,7 +286,6 @@ def laurent_at_shifted_point(ring, f: LaurentPoly, center, window: int) -> TS:
     # numerator Taylor shift: N(c + tau) = sum N^(k)(c)/k! tau^k
     deg = num.top() if not num.is_zero() else 0
     width = window
-    cs = [ring.zero()] * width
     # Horner in (c + tau): iterate coefficients high -> low
     acc = [ring.zero()] * width  # acc(tau) polynomial, low->high
     for e in range(deg, -1, -1):

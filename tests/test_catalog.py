@@ -175,3 +175,18 @@ def test_grid_size_and_exclusions():
     # excluded points raise ExcludedParams, they are not silently skipped
     with pytest.raises(ExcludedParams):
         gen_series(series_id("a", m=2, n=4, k=1))  # gcd(m, n) != 1
+
+
+def test_verify_entry_keeps_the_traceback_tail_of_an_error(monkeypatch):
+    from annuli import reports
+
+    def broken_verdict(curve):
+        raise RuntimeError("injected")
+
+    monkeypatch.setattr(reports, "embedding_verdict", broken_verdict)
+    out = reports.verify_catalog_entry(series_id("u"))
+    assert out["status"] == "error"
+    assert out["reason"] == "RuntimeError: injected"
+    tail = out["traceback"]
+    assert tail[0].startswith("reports.py:") and tail[0].endswith(" in verify_catalog_entry")
+    assert tail[-1].startswith("test_catalog.py:") and tail[-1].endswith(" in broken_verdict")

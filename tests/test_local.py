@@ -1,4 +1,7 @@
 import random
+from dataclasses import replace
+from fractions import Fraction
+from types import SimpleNamespace
 
 from annuli.catalog import gen_series, series_id
 from annuli.curves import ParametricCurve, exponent_profile
@@ -16,6 +19,7 @@ from annuli.local import (
     singular_parameters,
     tangency_delta,
     TangentCase,
+    _third_term_closed_form,
     _with_window,
 )
 from annuli.certify import delta_max
@@ -214,3 +218,13 @@ def test_window_search_keeps_the_largest_window():
     seen.clear()
     found = _with_window(needs_13, 20, 16 * 28 + 1)
     assert found == seen[-1] and 13 <= found < 26  # within one doubling of the need
+
+
+def test_third_term_closed_form_stays_exact():
+    """A fractional closed form is kept as a fraction and printed as 'n/d'."""
+    val = _third_term_closed_form(SimpleNamespace(p=1, q=1), [], [(1, 1)], 3, 1)
+    assert val == Fraction(2, 3) and isinstance(val, Fraction)
+    r0 = gen_series(series_id("r", n=0))
+    data = tangency_delta(r0, delta_max(exponent_profile(r0)))
+    assert data.as_dict()["third_term_closed_form"] == 60  # an integer stays a JSON number
+    assert replace(data, third_term_closed_form=val).as_dict()["third_term_closed_form"] == "2/3"

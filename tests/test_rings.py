@@ -1,8 +1,9 @@
 import pytest
 
 from annuli.laurent import LaurentPoly, poly_gcd, make_poly
-from annuli.rings import BranchState, Quotient, SCALARS, SplitEvent, explore_branches, quotient_gcd
+from annuli.rings import BranchState, LinearQuotient, Quotient, SCALARS, SplitEvent, explore_branches, quotient_gcd
 from annuli.scalars import DivisionByZero, Scalar
+from annuli.series import TS, laurent_at_shifted_point
 
 
 def ring_mod(*coeffs):
@@ -78,3 +79,83 @@ def test_nested_tower_arithmetic():
     assert R2.eq(R2.mul(g, g), R2.from_base(s))
     gi = R2.inv(g)
     assert R2.eq(R2.mul(g, gi), R2.one())
+
+
+# -- a linear modulus: the base field itself, against Quotient's 1-tuples ------
+
+
+def linear_pair(*coeffs):
+    """(the ring a branch builds for a linear modulus, the Quotient reference)."""
+    mod = [Scalar.of(c) for c in coeffs]
+    return BranchState().quotient(SCALARS, "pt", mod), Quotient(SCALARS, mod, "pt")
+
+
+def test_linear_modulus_computes_in_the_base_field():
+    R, ref = linear_pair(-3, 2, 0)  # 2s - 3, with a zero top coefficient to trim
+    assert isinstance(R, LinearQuotient) and R.base is SCALARS and R.key == "pt"
+    assert R.gen() == ref.gen()[0] == Scalar("3/2")
+    assert R.from_base(Scalar(7)) == Scalar(7)
+    s, rs = R.gen(), ref.gen()
+    pairs = [
+        (R.zero(), ref.zero()),
+        (R.one(), ref.one()),
+        (R.add(R.mul(s, s), R.from_scalar(Scalar(-5))), ref.add(ref.mul(rs, rs), ref.from_scalar(Scalar(-5)))),
+        (R.sub(R.pow(s, 3), R.neg(s)), ref.sub(ref.pow(rs, 3), ref.neg(rs))),
+        (R.sub(s, R.from_scalar(Scalar("3/2"))), ref.sub(rs, ref.from_scalar(Scalar("3/2")))),
+    ]
+    for x, rx in pairs:
+        assert x == rx[0]
+        assert R.decide_zero(x) == ref.decide_zero(rx) == R.is_zero(x)
+        assert R.as_scalar(x) == ref.as_scalar(rx)
+        assert R.to_repr(x) == ref.to_repr(rx)
+        if ref.is_zero(rx):
+            for ring, z in ((R, x), (ref, rx)):
+                with pytest.raises(DivisionByZero):
+                    ring.inv(z)
+        else:
+            assert R.inv(x) == ref.inv(rx)[0]
+            assert R.eq(R.mul(x, R.inv(x)), R.one())
+
+
+def test_split_branches_of_a_quadratic_become_linear():
+    def fn(st: BranchState):
+        R = st.quotient(SCALARS, "pt", [Scalar(-1), Scalar(0), Scalar(1)])
+        return R, R.decide_zero(R.sub(R.gen(), R.one()))
+
+    branches = explore_branches(fn)
+    assert all(isinstance(R, LinearQuotient) for R, _ in branches)
+    assert {R.gen(): zero for R, zero in branches} == {Scalar(1): True, Scalar(-1): False}
+
+
+def test_tower_over_a_linear_ring():
+    st = BranchState()
+    R = st.quotient(SCALARS, "pt", [Scalar(-2), Scalar(1)])
+    s = R.gen()
+    R2 = st.quotient(R, "rt", [R.neg(s), R.zero(), R.one()])  # g^2 = s = 2
+    assert isinstance(R2, Quotient) and R2.base is R
+    g = R2.gen()
+    assert R2.eq(R2.mul(g, g), R2.from_base(s))
+    assert R2.eq(R2.mul(g, R2.inv(g)), R2.one())
+    # the same tower over the 1-tuple reference prints the same
+    ref = Quotient(SCALARS, [Scalar(-2), Scalar(1)], "pt")
+    ref2 = Quotient(ref, [ref.neg(ref.gen()), ref.zero(), ref.one()], "rt")
+    assert R2.to_repr(R2.inv(g)) == ref2.to_repr(ref2.inv(ref2.gen())) == "(1/2)*s"
+
+
+def test_series_kernels_at_a_rational_point_match_the_reference():
+    f = LaurentPoly({-2: Scalar(3), 1: Scalar(-1), 3: Scalar("1/2")})
+    window = 10
+
+    def kernels(ring):
+        xs = laurent_at_shifted_point(ring, f, ring.gen(), window)
+        unit = xs.sub(TS(ring, 0, [xs.coeff(0)] + [ring.zero()] * (window - 1)))
+        unit = unit.normalized().shift(-1)
+        unit = unit.scale(ring.inv(unit.coeff(0)))
+        w = unit.nth_root_monic(3)
+        rev = w.shift(1).reversion()
+        return [[ring.to_repr(c) for c in ts.cs] for ts in (xs, w, rev)]
+
+    R, ref = linear_pair(-2, 1)
+    got = kernels(R)
+    assert got == kernels(ref)
+    assert len(got[2]) == window - 1 and got[2][0] == "1"
