@@ -26,7 +26,9 @@ WORKLOAD = textwrap.dedent(
     from annuli.laurent import LaurentPoly, make_poly, resultant, poly_gcd
     from annuli.catalog import gen_series, series_id
     from annuli.certify import ph_ledger, embedding_verdict, oracle_delta_at_factor
+    from annuli.rings import SCALARS, Quotient
     from annuli.scalars import Scalar
+    from annuli.series import TS
 
     out = {"backend": ratio.BACKEND}
 
@@ -57,6 +59,30 @@ WORKLOAD = textwrap.dedent(
     t0 = time.time()
     oracle_delta_at_factor(c, point, bound=e.mu + e.n + 4)
     out["oracle_rational_point"] = round(time.time() - t0, 3)
+
+    # truncated series products: one integer convolution per coefficient ring
+    f = TS(SCALARS, 0, [Scalar(ratio.QQ(i * i - 7, 2 * i + 3)) for i in range(64)])
+    g = TS(SCALARS, 0, [Scalar(ratio.QQ(5 - 3 * i, i + 4)) for i in range(64)])
+    t0 = time.time()
+    for _ in range(100):
+        f.mul(g)
+    out["series_mul_rational"] = round(time.time() - t0, 3)
+
+    R = Quotient(SCALARS, [Scalar(ratio.QQ(k + 2, 3)) for k in range(4)] + [Scalar(1)], "pt")
+    s = R.gen()
+
+    def elem(i):
+        acc = R.zero()
+        for k in range(4):
+            acc = R.add(acc, R.mul(R.from_scalar(Scalar(ratio.QQ(i - k, k + 2))), R.pow(s, k)))
+        return acc
+
+    f = TS(R, 0, [elem(i) for i in range(32)])
+    g = TS(R, 0, [elem(7 - 2 * i) for i in range(32)])
+    t0 = time.time()
+    for _ in range(20):
+        f.mul(g)
+    out["series_mul_quotient"] = round(time.time() - t0, 3)
 
     print(json.dumps(out))
     """

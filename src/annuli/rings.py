@@ -14,10 +14,13 @@ modulus gives a :class:`LinearQuotient`, which is its base ring itself.
 
 from __future__ import annotations
 
+from itertools import chain
+from math import lcm
+from operator import mul
 from typing import Callable
 
-from .laurent import LaurentPoly
-from .scalars import DivisionByZero, Scalar, ONE, ZERO
+from ._ratio import QQ
+from .scalars import DivisionByZero, FieldMismatch, Scalar, ONE, ZERO, _rational
 
 
 class SplitEvent(Exception):
@@ -87,6 +90,60 @@ class ScalarField:
     def to_repr(self, x) -> str:
         return repr(x)
 
+    def convolve(self, f: list, g: list, n: int) -> list:
+        """The first n coefficients of the product of coefficient lists f and g.
+
+        Each list is cleared to integers over one common denominator, shared
+        by its rational and surd parts; the integers are convolved and each
+        output coefficient is one rational.  A surd product takes three
+        integer convolutions (Karatsuba).
+        """
+        if n <= 0:
+            return []
+        f, g = f[:n], g[:n]
+        d = 1
+        for x in chain(f, g):
+            if x.d != 1 and x.d != d:
+                if d != 1:
+                    raise FieldMismatch(f"cannot mix sqrt({d}) with sqrt({x.d})")
+                d = x.d
+        fa, fb, fden = _cleared(f, d != 1)
+        ga, gb, gden = _cleared(g, d != 1)
+        den = fden * gden
+        ac = _int_convolve(fa, ga, n)
+        # a zero coefficient is the shared ZERO, not a fresh object: series are
+        # sparse and many products are kept
+        if d == 1:
+            return [_rational(QQ(c, den)) if c else ZERO for c in ac]
+        bd = _int_convolve(fb, gb, n)
+        mid = _int_convolve([x + y for x, y in zip(fa, fb)], [x + y for x, y in zip(ga, gb)], n)
+        out = []
+        for p, q, m in zip(ac, bd, mid):
+            a, b = p + d * q, m - p - q
+            out.append(Scalar(QQ(a, den), QQ(b, den), d) if a or b else ZERO)
+        return out
+
+
+def _cleared(xs: list, surd: bool) -> tuple:
+    """(rational numerators, surd numerators or None, common denominator) of xs."""
+    parts = [x.a for x in xs] + ([x.b for x in xs] if surd else [])
+    den = lcm(*{q.denominator for q in parts})
+    nums = [q.numerator * (den // q.denominator) for q in parts]
+    return nums[: len(xs)], nums[len(xs):] if surd else None, den
+
+
+def _int_convolve(f: list, g: list, n: int) -> list:
+    """The first n coefficients of the product of integer lists f and g."""
+    lf, lg = len(f), len(g)
+    gr = g[::-1]
+    out = []
+    for k in range(min(n, lf + lg - 1)):
+        lo, hi = max(0, k - lg + 1), min(k, lf - 1) + 1
+        off = lg - 1 - k
+        out.append(sum(map(mul, f[lo:hi], gr[off + lo : off + hi])))
+    out.extend([0] * (n - len(out)))
+    return out
+
 
 SCALARS = ScalarField()
 
@@ -151,15 +208,6 @@ class Quotient:
     def from_base(self, x):
         return self._wrap([x])
 
-    def from_laurent(self, f: LaurentPoly):
-        """Image of a plain polynomial under s -> the adjoined root."""
-        cs = [self.base.zero()] * (f.top() + 1 if not f.is_zero() else 0)
-        for e, c in f.coeffs.items():
-            if e < 0:
-                raise ValueError("negative exponent in modulus image")
-            cs[e] = self.base.from_scalar(c)
-        return self._wrap(self._reduce(cs))
-
     # -- arithmetic ----------------------------------------------------------------
 
     def add(self, x, y):
@@ -185,6 +233,26 @@ class Quotient:
                     continue
                 out[i + j] = b.add(out[i + j], b.mul(u, v))
         return self._wrap(self._reduce(out))
+
+    def convolve(self, f: list, g: list, n: int) -> list:
+        """The first n coefficients of the product of coefficient lists f and g.
+
+        Each element's deg base coefficients are laid out in a zero-padded
+        block of width 2*deg - 1, the length of an unreduced product, so one
+        convolution over the base yields every output coefficient unreduced;
+        each is then reduced once modulo the monic modulus.  Nothing is
+        inverted, so nothing splits.
+        """
+        if n <= 0:
+            return []
+        w = 2 * self.deg - 1
+        pad = [self.base.zero()] * (self.deg - 1)
+
+        def rows(xs):
+            return [c for x in xs[:n] for c in chain(x, pad)]
+
+        flat = self.base.convolve(rows(f), rows(g), n * w)
+        return [self._wrap(flat[k * w : (k + 1) * w]) for k in range(n)]
 
     def pow(self, x, k: int):
         out = self.one()
@@ -285,7 +353,7 @@ class LinearQuotient:
 
     _BASE_OPS = (
         "zero", "one", "from_scalar", "add", "neg", "sub", "mul", "pow",
-        "inv", "is_zero", "decide_zero", "eq", "as_scalar", "to_repr",
+        "inv", "is_zero", "decide_zero", "eq", "as_scalar", "to_repr", "convolve",
     )
 
     def __init__(self, base, root, key: str):

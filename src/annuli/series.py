@@ -104,21 +104,11 @@ class TS:
 
     def mul(self, other: "TS") -> "TS":
         r = self.ring
-        if not self.cs or not other.cs:
-            return TS(r, min(self.prec + other.val, other.prec + self.val), [])
         prec = min(self.prec + other.val, other.prec + self.val)
+        if not self.cs or not other.cs:
+            return TS(r, prec, [])
         val = self.val + other.val
-        cs = [r.zero()] * (prec - val)
-        right = [(j, b) for j, b in enumerate(other.cs) if not r.is_zero(b)]
-        for i, a in enumerate(self.cs):
-            if r.is_zero(a):
-                continue
-            for j, b in right:
-                e = i + j
-                if e >= len(cs):
-                    break
-                cs[e] = r.add(cs[e], r.mul(a, b))
-        return TS(r, val, cs)
+        return TS(r, val, r.convolve(self.cs, other.cs, prec - val))
 
     def scale(self, c) -> "TS":
         r = self.ring
@@ -151,10 +141,15 @@ class TS:
         if k == 0:
             width = len(self.cs) or 1
             return TS(r, 0, [r.one()] + [r.zero()] * (width - 1))
-        out = self
-        for _ in range(k - 1):
-            out = out.mul(self)
-        return out
+        out = None
+        sq = self
+        while True:
+            if k & 1:
+                out = sq if out is None else out.mul(sq)
+            k >>= 1
+            if not k:
+                return out
+            sq = sq.mul(sq)
 
     # -- transcendental helpers (char 0) --------------------------------------------
 
@@ -307,7 +302,4 @@ def laurent_at_shifted_point(ring, f: LaurentPoly, center, window: int) -> TS:
     # (c + tau)^(-pole) = c^(-pole) * (1 + tau/c)^(-pole) via series inverse
     base = TS(ring, 0, [center] + [ring.one()] + [ring.zero()] * max(0, width - 2))
     base_inv = base.inv().truncate(width)
-    out = numer
-    for _ in range(pole):
-        out = out.mul(base_inv).truncate(width)
-    return out
+    return numer.mul(base_inv.pow_int(pole)).truncate(width)

@@ -1,8 +1,10 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from annuli._ratio import QQ
 from annuli.laurent import LaurentPoly, poly_gcd, make_poly
 from annuli.rings import BranchState, LinearQuotient, Quotient, SCALARS, SplitEvent, explore_branches, quotient_gcd
-from annuli.scalars import DivisionByZero, Scalar
+from annuli.scalars import DivisionByZero, FieldMismatch, Scalar
 from annuli.series import TS, laurent_at_shifted_point
 
 
@@ -159,3 +161,93 @@ def test_series_kernels_at_a_rational_point_match_the_reference():
     got = kernels(R)
     assert got == kernels(ref)
     assert len(got[2]) == window - 1 and got[2][0] == "1"
+
+
+# -- convolve: the truncated product kernel, against a schoolbook loop ---------
+
+
+def schoolbook(ring, f, g, n):
+    out = [ring.zero()] * max(n, 0)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            if i + j < n:
+                out[i + j] = ring.add(out[i + j], ring.mul(a, b))
+    return out
+
+
+_BIG = 2**64
+rationals = st.one_of(
+    st.just((0, 1)),
+    st.tuples(st.integers(-9, 9), st.integers(1, 12)),
+    st.tuples(st.integers(-_BIG, _BIG), st.integers(1, _BIG)),
+).map(lambda nd: QQ(*nd))
+
+
+def scalars_in(d):
+    if d == 1:
+        return rationals.map(Scalar)
+    return st.tuples(rationals, rationals).map(lambda ab: Scalar(ab[0], ab[1], d))
+
+
+def quotient_over(base, elems, mod_elems, deg):
+    """(base[s]/(monic modulus of degree deg), strategy for its elements)."""
+    mod = mod_elems + [base.one()]
+    R = Quotient(base, mod, "pt")
+    return R, st.lists(elems, min_size=deg, max_size=deg).map(R._wrap)
+
+
+def _small(d):
+    return [Scalar(2), Scalar(-1, 1, d) if d != 1 else Scalar("1/3"), Scalar(0), Scalar(5)]
+
+
+def _tower():
+    base, base_elems = quotient_over(SCALARS, scalars_in(1), [Scalar(1), Scalar(1)], 2)
+    s = base.gen()
+    return quotient_over(base, base_elems, [base.neg(s), base.zero()], 2)
+
+
+CONVOLVE_RINGS = {
+    "Q": lambda: (SCALARS, scalars_in(1)),
+    "Q(sqrt2)": lambda: (SCALARS, scalars_in(2)),
+    "Q(sqrt5)": lambda: (SCALARS, scalars_in(5)),
+    "Q(sqrt-3)": lambda: (SCALARS, scalars_in(-3)),
+    "linear": lambda: (BranchState().quotient(SCALARS, "pt", [Scalar(-3), Scalar(2)]), scalars_in(1)),
+    "Q[s]/deg2": lambda: quotient_over(SCALARS, scalars_in(1), _small(1)[:2], 2),
+    "Q[s]/deg3": lambda: quotient_over(SCALARS, scalars_in(1), _small(1)[:3], 3),
+    "Q[s]/deg4": lambda: quotient_over(SCALARS, scalars_in(1), _small(1), 4),
+    "Q(sqrt2)[s]/deg2": lambda: quotient_over(SCALARS, scalars_in(2), _small(2)[:2], 2),
+    "Q(sqrt2)[s]/deg3": lambda: quotient_over(SCALARS, scalars_in(2), _small(2)[:3], 3),
+    "Q(sqrt2)[s]/deg4": lambda: quotient_over(SCALARS, scalars_in(2), _small(2), 4),
+    "tower": _tower,
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONVOLVE_RINGS))
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_convolve_matches_schoolbook(name, data):
+    ring, elems = CONVOLVE_RINGS[name]()
+    if name == "linear":
+        assert isinstance(ring, LinearQuotient)
+    f = data.draw(st.lists(elems, max_size=6), label="f")
+    g = data.draw(st.lists(elems, max_size=6), label="g")
+    n = data.draw(st.integers(-1, len(f) + len(g) + 1), label="n")
+    got = ring.convolve(f, g, n)
+    if n <= 0:
+        assert got == []
+    assert [ring.to_repr(c) for c in got] == [ring.to_repr(c) for c in schoolbook(ring, f, g, n)]
+
+
+def test_convolve_refuses_two_quadratic_fields():
+    with pytest.raises(FieldMismatch):
+        SCALARS.convolve([Scalar.sqrt_of(2)], [Scalar(1), Scalar.sqrt_of(5)], 2)
+
+
+def test_series_product_over_a_cubic_quotient_prints_as_the_reference():
+    R = Quotient(SCALARS, [Scalar(-2), Scalar(1), Scalar(0), Scalar(1)], "pt")  # s^3 + s - 2
+    s = R.gen()
+    f = [R.add(R.from_scalar(Scalar(QQ(i, 7))), R.pow(s, i)) for i in range(7)]
+    g = [R.sub(R.from_scalar(Scalar("1/3")), R.mul(s, R.from_scalar(Scalar(-i)))) for i in range(5)]
+    got = TS(R, 1, f).mul(TS(R, -2, g))
+    assert (got.val, got.prec) == (-1, 4)
+    assert got.to_repr() == TS(R, -1, schoolbook(R, f, g, 5)).to_repr()
