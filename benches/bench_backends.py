@@ -84,6 +84,18 @@ WORKLOAD = textwrap.dedent(
         f.mul(g)
     out["series_mul_quotient"] = round(time.time() - t0, 3)
 
+    # poly_gcd over Q(sqrt 2): the Euclidean loop of the dense kernel, 30 pairs
+    # of degrees 17 and 14-15 with a common factor of degree 3
+    def surd_poly(deg, k):
+        return LaurentPoly({e: Scalar(ratio.QQ((e * k) % 7 - 3), ratio.QQ((e + k) % 5 - 2), 2) for e in range(deg + 1)})
+
+    common = surd_poly(3, 1)
+    pairs = [(common * surd_poly(14, k), common * surd_poly(12, k + 7)) for k in range(30)]
+    t0 = time.time()
+    for f, g in pairs:
+        poly_gcd(f, g)
+    out["gcd_surd"] = round(time.time() - t0, 3)
+
     print(json.dumps(out))
     """
 )

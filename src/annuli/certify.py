@@ -31,7 +31,7 @@ from .curves import (
     dim_curv,
     exponent_profile,
 )
-from .laurent import LaurentPoly, NotDivisible, poly_gcd, squarefree_part
+from .laurent import LaurentPoly, NotDivisible, from_dense, poly_gcd, squarefree_part, to_dense
 from .local import (
     PlaceAnalysis,
     PlaceNotAtInfinity,
@@ -42,7 +42,7 @@ from .local import (
     singular_parameters,
     tangency_delta,
 )
-from .rings import BranchState, SCALARS, explore_branches, quotient_gcd
+from .rings import BranchState, SCALARS, dense_divexact, explore_branches, quotient_gcd
 from .scalars import Scalar
 from .series import TS
 
@@ -280,7 +280,7 @@ def _fiber_check(D: UV, E: UV, modulus: LaurentPoly) -> list:
     Returns a list of per-branch results: (None for all-diagonal/empty, or a
     Witness for an off-diagonal component).
     """
-    mod_dense = [modulus[e] for e in range(modulus.top() + 1)]
+    mod_dense = to_dense(modulus)
 
     def fn(st: BranchState):
         K = st.quotient(SCALARS, "wv", mod_dense)
@@ -292,22 +292,17 @@ def _fiber_check(D: UV, E: UV, modulus: LaurentPoly) -> list:
             return None  # no genuine common solution above this branch
         gp = [K.mul(c, K.from_scalar(Scalar(i + 1))) for i, c in enumerate(g[1:])]
         gsf = quotient_gcd(K, g, gp)
-        gsf = _poly_divexact_ring(K, g, gsf)
+        gsf = dense_divexact(K, g, gsf)
         # saturate the squarefree fiber gcd by the diagonal u^2 = 4v
         diag = [K.neg(K.mul(K.from_scalar(Scalar(4)), v)), K.zero(), K.one()]
         h = quotient_gcd(K, gsf, diag)
         if len(h) > 1:
-            gsf = _poly_divexact_ring(K, gsf, h)
+            gsf = dense_divexact(K, gsf, h)
         if len(gsf) <= 1:
             return None  # every fiber solution was diagonal
-        mod_now = LaurentPoly({e: c for e, c in enumerate(_st_modulus(st, mod_dense))})
-        return Witness(mod_now, gsf, _upoly_repr(K, gsf))
+        return Witness(from_dense(st.modulus("wv", mod_dense)), gsf, _upoly_repr(K, gsf))
 
     return explore_branches(fn)
-
-
-def _st_modulus(st: BranchState, default: list) -> list:
-    return st.modulus("wv", default)
 
 
 def _upoly_repr(K, g: list) -> str:
@@ -334,15 +329,6 @@ def _uv_to_upoly(F: UV, K, v) -> list:
                     acc = K.add(acc, K.from_scalar(c))
         out.append(acc)
     return out
-
-
-def _poly_divexact_ring(K, f: list, g: list) -> list:
-    """f / g for ring-coefficient polynomials, exact by construction."""
-    from .rings import _rdivmod
-
-    q, r = _rdivmod(K, list(f), list(g))
-    assert all(K.is_zero(c) for c in r), "inexact division in fiber analysis"
-    return q
 
 
 def _uv_divexact(F: UV, G: UV) -> UV | None:
@@ -436,7 +422,7 @@ def _witness_point(curve: ParametricCurve, w: Witness) -> dict | None:
     """Common image point of the witness pair, evaluated exactly in the tower."""
     if not w.u_poly:
         return None
-    mod_dense = [w.v_factor[e] for e in range(w.v_factor.top() + 1)]
+    mod_dense = to_dense(w.v_factor)
 
     def fn(st: BranchState):
         K = st.quotient(SCALARS, "wv", mod_dense)
@@ -486,7 +472,7 @@ def verify_witness(curve: ParametricCurve, w: Witness) -> bool:
     if w.v_factor[0].is_zero():
         return False
     D, E = double_point_system(curve.phi, curve.psi)
-    mod_dense = [w.v_factor[e] for e in range(w.v_factor.top() + 1)]
+    mod_dense = to_dense(w.v_factor)
 
     def fn(st: BranchState):
         K = st.quotient(SCALARS, "wv", mod_dense)

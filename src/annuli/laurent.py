@@ -1,9 +1,12 @@
-"""Sparse Laurent polynomials over Q(sqrt(d)) and the dense polynomial kernels.
+"""Sparse Laurent polynomials over Q(sqrt(d)) and their gcd / resultant.
 
 A :class:`LaurentPoly` maps integer exponents to nonzero :class:`Scalar`
 coefficients; the zero polynomial is the empty map.  Plain polynomials
-(nonnegative support) reuse the same type; the gcd / resultant / squarefree
-kernels below work on dense coefficient lists internally.
+(nonnegative support) reuse the same type.  :func:`to_dense` and
+:func:`from_dense` convert to and from coefficient lists; division, exact
+division and the Euclidean gcd run on those lists in the one dense kernel of
+:mod:`annuli.rings`, over :data:`~annuli.rings.SCALARS`.  Over Q the gcd is
+the heuristic integer gcd below.
 """
 
 from __future__ import annotations
@@ -12,15 +15,13 @@ from math import gcd, isqrt, lcm
 from typing import Iterable
 
 from ._ratio import QQ, int_gcd
+# NotDivisible is re-exported: LaurentPoly.divexact raises it
+from .rings import NotDivisible, SCALARS, dense_divexact, dense_divmod, quotient_gcd  # noqa: F401
 from .scalars import Scalar, ZERO, ONE
 
 
 class EvalAtPole(ZeroDivisionError):
     """Evaluation at t = 0 of a Laurent polynomial with negative exponents."""
-
-
-class NotDivisible(ArithmeticError):
-    """Exact division requested but a remainder was left."""
 
 
 class ConstantComponent(ValueError):
@@ -237,12 +238,8 @@ class LaurentPoly:
         if self.is_zero():
             return LaurentPoly()
         sf, sg = self.bot(), g.bot()
-        fl = _dense(self.shift(-sf))
-        gl = _dense(g.shift(-sg))
-        q, r = _divmod_dense(fl, gl)
-        if any(not c.is_zero() for c in r):
-            raise NotDivisible("exact Laurent division left a remainder")
-        return _from_dense(q).shift(sf - sg)
+        q = dense_divexact(SCALARS, to_dense(self.shift(-sf)), to_dense(g.shift(-sg)))
+        return from_dense(q).shift(sf - sg)
 
     # -- misc ---------------------------------------------------------------------
 
@@ -277,11 +274,12 @@ class LaurentPoly:
 
 
 # ---------------------------------------------------------------------------
-# dense kernels (plain polynomials, coefficient lists low -> high)
+# plain polynomials as coefficient lists (low -> high)
 # ---------------------------------------------------------------------------
 
 
-def _dense(f: LaurentPoly) -> list[Scalar]:
+def to_dense(f: LaurentPoly) -> list[Scalar]:
+    """The coefficient list of a plain polynomial; [] for zero."""
     if f.is_zero():
         return []
     if f.bot() < 0:
@@ -292,40 +290,14 @@ def _dense(f: LaurentPoly) -> list[Scalar]:
     return out
 
 
-def _from_dense(cs: list[Scalar]) -> LaurentPoly:
+def from_dense(cs: list[Scalar]) -> LaurentPoly:
     return LaurentPoly({e: c for e, c in enumerate(cs)})
-
-
-def _trim(cs: list[Scalar]) -> list[Scalar]:
-    while cs and cs[-1].is_zero():
-        cs.pop()
-    return cs
-
-
-def _divmod_dense(f: list[Scalar], g: list[Scalar]) -> tuple[list[Scalar], list[Scalar]]:
-    f = list(f)
-    _trim(f)
-    g = list(g)
-    _trim(g)
-    if not g:
-        raise ZeroDivisionError
-    dg = len(g) - 1
-    inv_lc = g[-1].inv()
-    q = [ZERO] * max(0, len(f) - dg)
-    while len(f) - 1 >= dg and f:
-        d = len(f) - 1 - dg
-        c = f[-1] * inv_lc
-        q[d] = c
-        for i, gc in enumerate(g):
-            f[d + i] = f[d + i] - c * gc
-        _trim(f)
-    return q, f
 
 
 def poly_divmod(f: LaurentPoly, g: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
     """Euclidean division of plain polynomials over the field."""
-    q, r = _divmod_dense(_dense(f), _dense(g))
-    return _from_dense(q), _from_dense(r)
+    q, r = dense_divmod(SCALARS, to_dense(f), to_dense(g))
+    return from_dense(q), from_dense(r)
 
 
 def poly_gcd(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
@@ -334,22 +306,12 @@ def poly_gcd(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     Over Q (field tag 1) the heuristic integer gcd answers; the Euclidean
     loop runs over Q(sqrt d) and when the heuristic gives up.
     """
-    a, b = _dense(f), _dense(g)
+    a, b = to_dense(f), to_dense(g)
     if a and b and f.field_tag() == 1 and g.field_tag() == 1:
         h = _heuristic_gcd(_primitive_zz(a), _primitive_zz(b))
         if h is not None:
             return LaurentPoly({e: Scalar(QQ(c, h[-1])) for e, c in enumerate(h)})
-    return _euclid_gcd(a, b)
-
-
-def _euclid_gcd(a: list[Scalar], b: list[Scalar]) -> LaurentPoly:
-    """Monic gcd by the Euclidean remainder loop over the scalar field."""
-    while b and _trim(list(b)):
-        _, r = _divmod_dense(a, b)
-        a, b = b, r
-    a = _trim(list(a))
-    out = _from_dense(a)
-    return out.monic()
+    return from_dense(quotient_gcd(SCALARS, a, b))
 
 
 # Heuristic gcd (Char, Geddes & Gonnet, "GCDHEU", J. Symb. Comp. 1989): the
@@ -442,7 +404,7 @@ def resultant(f: LaurentPoly, g: LaurentPoly) -> Scalar:
     over the field (scalars are already exact rationals), with the classical
     degree/leading-coefficient bookkeeping for the resultant value.
     """
-    a, b = _trim(_dense(f)), _trim(_dense(g))
+    a, b = to_dense(f), to_dense(g)
     if not a or not b:
         return ZERO
     res = ONE
@@ -452,8 +414,7 @@ def resultant(f: LaurentPoly, g: LaurentPoly) -> Scalar:
         if db == 0:
             res = res * b[0] ** da
             break
-        _, r = _divmod_dense(a, b)
-        r = _trim(r)
+        _, r = dense_divmod(SCALARS, a, b)
         if not r:
             return ZERO
         dr = len(r) - 1
@@ -473,8 +434,6 @@ def content_and_primitive(f: LaurentPoly) -> tuple[Scalar, LaurentPoly]:
     """
     if f.is_zero():
         return ONE, f
-    from ._ratio import QQ
-
     num_g = 0
     den_l = 1
     for c in f.coeffs.values():
@@ -489,23 +448,3 @@ def content_and_primitive(f: LaurentPoly) -> tuple[Scalar, LaurentPoly]:
 def make_poly(*coeffs) -> LaurentPoly:
     """Convenience: make_poly(c0, c1, ...) = c0 + c1 t + ..."""
     return LaurentPoly({i: Scalar.of(c) for i, c in enumerate(coeffs)})
-
-
-def laurent_exact_div(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
-    """Exact quotient in the Laurent ring; NotDivisible when a remainder stays."""
-    return f.divexact(g)
-
-
-def laurent_arith(f: LaurentPoly, g, op: str):
-    """Named-op entry point matching the kernel contract."""
-    if op == "add":
-        return f + g
-    if op == "mul":
-        return f * g
-    if op == "compose_inv_t":
-        return f.compose_inv_t()
-    if op == "derivative":
-        return f.derivative()
-    if op == "eval":
-        return f.eval(g)
-    raise ValueError(f"unknown op {op!r}")

@@ -26,7 +26,7 @@ from math import gcd, lcm
 
 from ._ratio import rat, rat_str
 from .curves import ExponentProfile, ParametricCurve, exponent_profile
-from .laurent import LaurentPoly, poly_gcd, squarefree_part
+from .laurent import LaurentPoly, from_dense, poly_divmod, poly_gcd, squarefree_part, to_dense
 from .rings import BranchState, SCALARS, explore_branches
 from .scalars import Scalar
 from .series import TS, TruncationCap, laurent_at_shifted_point
@@ -233,17 +233,6 @@ class PointAnalysis:
         return (self.orbit, tuple(sorted((e, repr(c)) for e, c in self.factor.coeffs.items())))
 
 
-def _modulus_dense(factor: LaurentPoly) -> list:
-    out = [Scalar(0)] * (factor.top() + 1)
-    for e, c in factor.coeffs.items():
-        out[e] = c
-    return out
-
-
-def _factor_from_modulus(mod: list) -> LaurentPoly:
-    return LaurentPoly({e: c for e, c in enumerate(mod)})
-
-
 def _compose_series(f: TS, inner: TS, window: int) -> TS:
     """f(inner) for a truncated series f with val >= 0 and val(inner) = 1."""
     r = f.ring
@@ -275,7 +264,7 @@ def analyze_point(
 
     def run(window: int) -> list[PointAnalysis]:
         def fn(st: BranchState) -> PointAnalysis:
-            R = st.quotient(SCALARS, "pt", _modulus_dense(factor))
+            R = st.quotient(SCALARS, "pt", to_dense(factor))
             center = R.gen()
             xs = laurent_at_shifted_point(R, phi, center, window)
             xs = xs.sub(TS(R, 0, [xs.coeff(0)] + [R.zero()] * (window - 1)))
@@ -295,9 +284,9 @@ def analyze_point(
             ys2 = TS(R2, ys.val, [R2.from_base(c) for c in ys.cs])
             y_sigma = _compose_series(ys2, tau_of_sigma, window)
             chain = scan_chain(R2, y_sigma, n, 1)
-            mod_now = st.modulus("pt", _modulus_dense(factor))
+            mod_now = st.modulus("pt", to_dense(factor))
             return PointAnalysis(
-                factor=_factor_from_modulus(mod_now),
+                factor=from_dense(mod_now),
                 orbit=len(mod_now) - 1,
                 n=n,
                 chain=chain,
@@ -320,9 +309,6 @@ def field_linear_split(f: LaurentPoly) -> list[LaurentPoly]:
     Candidates come from the rational roots of f * conj(f) (a rational
     polynomial); what remains is analyzed as one dynamic-evaluation block.
     """
-    from .laurent import poly_divmod
-    from .rings import SCALARS
-
     f = f.monic()
     pieces: list[LaurentPoly] = []
     # rational-coefficient norm polynomial
@@ -366,10 +352,6 @@ def local_puiseux(curve: ParametricCurve, factor: LaurentPoly, swap: bool = Fals
     return analyze_point(curve, factor, swap=swap)
 
 
-def ext_codim(n: int, nu: int) -> int:
-    return ext_codim_point(n, nu)
-
-
 def singular_parameters(curve: ParametricCurve, swap: bool = False) -> list[PointAnalysis]:
     """Full singular locus with per-factor data, refined by dynamic evaluation.
 
@@ -389,15 +371,14 @@ def branch_series_at_point(curve: ParametricCurve, factor: LaurentPoly, window: 
     """(x(tau) - x0, y(tau) - y0) per refined factor, for the semigroup oracle."""
 
     def fn(st: BranchState):
-        R = st.quotient(SCALARS, "pt", _modulus_dense(factor))
+        R = st.quotient(SCALARS, "pt", to_dense(factor))
         center = R.gen()
         out = []
         for f in (curve.phi, curve.psi):
             ts = laurent_at_shifted_point(R, f, center, window)
             ts = ts.sub(TS(R, 0, [ts.coeff(0)] + [R.zero()] * (window - 1)))
             out.append(ts)
-        mod_now = st.modulus("pt", _modulus_dense(factor))
-        return _factor_from_modulus(mod_now), R, out[0], out[1]
+        return from_dense(st.modulus("pt", to_dense(factor))), R, out[0], out[1]
 
     return explore_branches(fn)
 
@@ -550,35 +531,29 @@ def _laurent_to_ts(ring, f: LaurentPoly, window: int) -> TS:
 
 
 def _compose_laurent_series(f: LaurentPoly, ring, inner: TS, window: int) -> TS:
-    """f(inner) for a Laurent polynomial f and a series of valuation 1."""
-    out = None
+    """f(inner) for a Laurent polynomial f and a series of valuation 1.
+
+    inner^k is the square of inner^h, h = k/2 rounded towards 0, times inner
+    (or its inverse when k < 0) for odd k, each kept to `window` terms past
+    its valuation; the powers met on the way are kept for later exponents.
+    """
+    powers = {0: TS(ring, 0, [ring.one()] + [ring.zero()] * (window - 1))}
     inv = None
-    cache: dict[int, TS] = {}
-
-    def power(k: int) -> TS:
-        nonlocal inv
-        if k in cache:
-            return cache[k]
-        if k == 0:
-            ts = TS(ring, 0, [ring.one()] + [ring.zero()] * (window - 1))
-        elif k > 0:
-            half = power(k // 2)
-            ts = half.mul(half)
-            if k % 2:
-                ts = ts.mul(inner)
-        else:
-            if inv is None:
-                inv = inner.inv()
-            half = power(-((-k) // 2))
-            ts = half.mul(half)
-            if k % 2:
-                ts = ts.mul(inv)
-        ts = ts.truncate(ts.val + window)
-        cache[k] = ts
-        return ts
-
+    out = None
     for e in f.support():
-        term = power(e).scale(ring.from_scalar(f.coeffs[e]))
+        if e < 0 and inv is None:
+            inv = inner.inv()
+        chain = [e]
+        while chain[-1] not in powers:
+            k = chain[-1]
+            chain.append(k // 2 if k > 0 else -(-k // 2))
+        for i in range(len(chain) - 2, -1, -1):
+            k, half = chain[i], powers[chain[i + 1]]
+            ts = half.mul(half)
+            if k % 2:
+                ts = ts.mul(inner if k > 0 else inv)
+            powers[k] = ts.truncate(ts.val + window)
+        term = powers[e].scale(ring.from_scalar(f.coeffs[e]))
         out = term if out is None else out.add(term)
     return out
 

@@ -10,6 +10,13 @@ Rings form towers: a :class:`Quotient` may sit over another Quotient (used to
 adjoin roots of units for standard Puiseux forms).  Splits at any level
 propagate out with the key of the level that must be refined.  A linear
 modulus gives a :class:`LinearQuotient`, which is its base ring itself.
+
+This module also holds the one dense polynomial kernel of the package:
+coefficient lists (low -> high) over any of these rings, with the ring as the
+first argument of every function (:func:`trim`, :func:`dense_mul`,
+:func:`dense_sub`, :func:`dense_divmod`, :func:`dense_divexact` and the
+Euclidean :func:`quotient_gcd`).  Over :data:`SCALARS` it is the field kernel
+of :mod:`annuli.laurent`.
 """
 
 from __future__ import annotations
@@ -20,7 +27,11 @@ from operator import mul
 from typing import Callable
 
 from ._ratio import QQ
-from .scalars import DivisionByZero, FieldMismatch, Scalar, ONE, ZERO, _rational
+from .scalars import DivisionByZero, FieldMismatch, Scalar, ONE, ZERO, rational_scalar
+
+
+class NotDivisible(ArithmeticError):
+    """Exact division requested but a remainder was left."""
 
 
 class SplitEvent(Exception):
@@ -114,7 +125,7 @@ class ScalarField:
         # a zero coefficient is the shared ZERO, not a fresh object: series are
         # sparse and many products are kept
         if d == 1:
-            return [_rational(QQ(c, den)) if c else ZERO for c in ac]
+            return [rational_scalar(QQ(c, den)) if c else ZERO for c in ac]
         bd = _int_convolve(fb, gb, n)
         mid = _int_convolve([x + y for x, y in zip(fa, fb)], [x + y for x, y in zip(ga, gb)], n)
         out = []
@@ -148,17 +159,11 @@ def _int_convolve(f: list, g: list, n: int) -> list:
 SCALARS = ScalarField()
 
 
-def _trim(ring, cs: list) -> list:
-    while cs and ring.is_zero(cs[-1]):
-        cs.pop()
-    return cs
-
-
 class Quotient:
     """base[s] / (modulus), modulus monic squarefree, elements = dense tuples."""
 
     def __init__(self, base, modulus: list, key: str):
-        modulus = _trim(base, list(modulus))
+        modulus = trim(base, list(modulus))
         if len(modulus) < 2:
             raise ValueError("modulus must have positive degree")
         lc = modulus[-1]
@@ -275,11 +280,10 @@ class Quotient:
         if all(b.is_zero(c) for c in x):
             return True
         # nonzero representative: certify it is a unit on every branch, else split
-        g = self._gcd_with_mod(x)
+        g = quotient_gcd(b, self.mod, x)
         if len(g) == 1:
             return False
-        cof = self._exact_div_mod(g)
-        raise SplitEvent(self.key, tuple(g), tuple(cof))
+        raise SplitEvent(self.key, tuple(g), tuple(dense_divexact(b, self.mod, g)))
 
     def eq(self, x, y) -> bool:
         return self.is_zero(self.sub(x, y))
@@ -301,14 +305,9 @@ class Quotient:
             return self._wrap([b.mul(c, ginv) for c in s])
         if len(g) == len(self.mod):
             raise DivisionByZero("inverse of zero in quotient ring")
-        cof = self._exact_div_mod(g)
-        raise SplitEvent(self.key, tuple(g), tuple(cof))
+        raise SplitEvent(self.key, tuple(g), tuple(dense_divexact(b, self.mod, g)))
 
     # -- polynomial helpers over the base ------------------------------------------
-
-    def _gcd_with_mod(self, x) -> list:
-        g, _ = self._half_xgcd(list(self.mod), list(x))
-        return g
 
     def _half_xgcd(self, a: list, bb: list) -> tuple[list, list]:
         """Monic gcd of a, bb over base plus Bezout coefficient for bb.
@@ -316,21 +315,17 @@ class Quotient:
         Returns (g, s) with g = gcd and s such that s*bb = g  (mod a).
         """
         b = self.base
-        r0, r1 = _trim(b, list(a)), _trim(b, list(bb))
+        r0, r1 = trim(b, list(a)), trim(b, list(bb))
         s0, s1 = [], [b.one()]
         while r1:
-            q, r = _rdivmod(b, r0, r1)
+            q, r = dense_divmod(b, r0, r1)
             r0, r1 = r1, r
-            s0, s1 = s1, _rsub(b, s0, _rmul(b, q, s1))
+            s0, s1 = s1, dense_sub(b, s0, dense_mul(b, q, s1))
         if r0:
             lc_inv = b.inv(r0[-1])
             r0 = [b.mul(c, lc_inv) for c in r0]
             s0 = [b.mul(c, lc_inv) for c in s0]
         return r0, s0
-
-    def _exact_div_mod(self, g: list) -> list:
-        q, _ = _rdivmod(self.base, list(self.mod), list(g))
-        return q
 
     def to_repr(self, x) -> str:
         b = self.base
@@ -372,34 +367,41 @@ class LinearQuotient:
 
 
 # ---------------------------------------------------------------------------
-# dense polynomial arithmetic over an arbitrary ring (lists low -> high)
+# the dense polynomial kernel over any coefficient ring (lists low -> high)
 # ---------------------------------------------------------------------------
 
 
-def _rmul(ring, f: list, g: list) -> list:
+def trim(ring, cs: list) -> list:
+    """Drop trailing zeros of cs in place; returns cs."""
+    while cs and ring.is_zero(cs[-1]):
+        cs.pop()
+    return cs
+
+
+def dense_mul(ring, f: list, g: list) -> list:
     if not f or not g:
         return []
     out = [ring.zero()] * (len(f) + len(g) - 1)
     for i, u in enumerate(f):
         for j, v in enumerate(g):
             out[i + j] = ring.add(out[i + j], ring.mul(u, v))
-    return _trim(ring, out)
+    return trim(ring, out)
 
 
-def _rsub(ring, f: list, g: list) -> list:
+def dense_sub(ring, f: list, g: list) -> list:
     n = max(len(f), len(g))
     out = []
     for i in range(n):
         u = f[i] if i < len(f) else ring.zero()
         v = g[i] if i < len(g) else ring.zero()
         out.append(ring.sub(u, v))
-    return _trim(ring, out)
+    return trim(ring, out)
 
 
-def _rdivmod(ring, f: list, g: list) -> tuple[list, list]:
+def dense_divmod(ring, f: list, g: list) -> tuple[list, list]:
     """Division with invertible-leading-coefficient divisor (may raise SplitEvent)."""
-    f = _trim(ring, list(f))
-    g = _trim(ring, list(g))
+    f = trim(ring, list(f))
+    g = trim(ring, list(g))
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
     inv_lc = ring.inv(g[-1])
@@ -411,8 +413,16 @@ def _rdivmod(ring, f: list, g: list) -> tuple[list, list]:
         q[d] = c
         for i in range(len(g)):
             f[d + i] = ring.sub(f[d + i], ring.mul(c, g[i]))
-        f = _trim(ring, f)
+        f = trim(ring, f)
     return q, f
+
+
+def dense_divexact(ring, f: list, g: list) -> list:
+    """The quotient f / g; NotDivisible when a remainder is left."""
+    q, r = dense_divmod(ring, f, g)
+    if r:
+        raise NotDivisible("exact division left a remainder")
+    return q
 
 
 def quotient_gcd(ring, f: list, g: list) -> list:
@@ -421,9 +431,9 @@ def quotient_gcd(ring, f: list, g: list) -> list:
     gcd(f, 0) = monic f.  The SplitEvent is part of the contract: callers use
     :func:`explore_branches` to resume on each factor of the modulus.
     """
-    a, b = _trim(ring, list(f)), _trim(ring, list(g))
+    a, b = trim(ring, list(f)), trim(ring, list(g))
     while b:
-        _, r = _rdivmod(ring, a, b)
+        _, r = dense_divmod(ring, a, b)
         a, b = b, r
     if a:
         inv = ring.inv(a[-1])
@@ -460,7 +470,7 @@ class BranchState:
         A linear m = m1 s + m0 gives the base ring itself with s = -m0/m1
         (:class:`LinearQuotient`); any other degree gives a :class:`Quotient`.
         """
-        mod = _trim(base, self.modulus(key, default_modulus))
+        mod = trim(base, self.modulus(key, default_modulus))
         if len(mod) == 2:
             root = base.neg(base.mul(mod[0], base.inv(mod[1])))
             return LinearQuotient(base, root, key)

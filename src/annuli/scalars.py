@@ -85,7 +85,7 @@ class Scalar:
     def __add__(self, other):
         other = _coerce(other)
         if self.d == 1 and other.d == 1:
-            return _rational(self.a + other.a)
+            return rational_scalar(self.a + other.a)
         d = self._join(other)
         return Scalar(self.a + other.a, self.b + other.b, d)
 
@@ -103,7 +103,7 @@ class Scalar:
     def __mul__(self, other):
         other = _coerce(other)
         if self.d == 1 and other.d == 1:
-            return _rational(self.a * other.a)
+            return rational_scalar(self.a * other.a)
         d = self._join(other)
         a1, b1, a2, b2 = self.a, self.b, other.a, other.b
         return Scalar(a1 * a2 + b1 * b2 * d, a1 * b2 + b1 * a2, d)
@@ -173,7 +173,7 @@ def _coerce(x) -> Scalar:
     return Scalar(rat(x), 0, 1)
 
 
-def _rational(a) -> Scalar:
+def rational_scalar(a) -> Scalar:
     """The scalar a + 0*sqrt(1) for a rational `a` of the backend type."""
     s = object.__new__(Scalar)
     s.a = a
@@ -224,16 +224,3 @@ def _int_nth_root(v: int, n: int) -> int | None:
                 break
             r = s
     return r if r**n == v else None
-
-
-def scalar_arith(a: Scalar, b, op: str) -> Scalar:
-    """Named-op entry point: add, mul, inv, neg."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "neg":
-        return -a
-    if op == "inv":
-        return a.inv()
-    raise ValueError(f"unknown op {op!r}")

@@ -221,44 +221,6 @@ class TS:
                 upow = upow.mul(u).truncate(n)
         return TS(r, 1, out)
 
-    def compose_laurent(self, lp: LaurentPoly, window_end: int) -> "TS":
-        """Evaluate a Laurent polynomial at this series (val must be >= 1 or <= -1
-        consistently positive); returns a series up to O(sigma^window_end)."""
-        r = self.ring
-        if lp.is_zero():
-            return TS(r, window_end, [])
-        sup = lp.support()
-        out = None
-        inv = None
-        pw_cache: dict[int, TS] = {}
-
-        def power(k: int) -> TS:
-            nonlocal inv
-            if k in pw_cache:
-                return pw_cache[k]
-            if k == 0:
-                ts = TS(r, 0, [r.one()] + [r.zero()] * max(0, window_end - 1))
-            elif k > 0:
-                half = power(k // 2)
-                ts = half.mul(half)
-                if k % 2:
-                    ts = ts.mul(self)
-            else:
-                if inv is None:
-                    inv = self.inv()
-                half = power(-((-k) // 2))
-                ts = half.mul(half)
-                if k % 2:
-                    ts = ts.mul(inv)
-            ts = ts.truncate(window_end)
-            pw_cache[k] = ts
-            return ts
-
-        for e in sup:
-            term = power(e).scale_scalar(lp.coeffs[e])
-            out = term if out is None else out.add(term)
-        return out
-
     def to_repr(self) -> str:
         r = self.ring
         parts = []

@@ -1,21 +1,22 @@
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from annuli import laurent
 from annuli.laurent import (
     EvalAtPole,
     LaurentPoly,
     NotDivisible,
-    _dense,
-    _euclid_gcd,
-    laurent_arith,
+    from_dense,
     make_poly,
+    poly_divmod,
     poly_gcd,
     resultant,
     squarefree_part,
+    to_dense,
 )
+from annuli.rings import SCALARS, quotient_gcd
 from annuli.scalars import Scalar
 
 t = LaurentPoly.t
@@ -74,9 +75,9 @@ def test_squarefree_examples():
 
 def test_named_laurent_ops():
     f = LaurentPoly({2: 1})
-    assert laurent_arith(f, f, "mul") == LaurentPoly({4: 1})
-    assert laurent_arith(f, None, "derivative") == LaurentPoly({1: 2})
-    assert laurent_arith(f, Scalar(3), "eval") == Scalar(9)
+    assert f * f == LaurentPoly({4: 1})
+    assert f.derivative() == LaurentPoly({1: 2})
+    assert f.eval(Scalar(3)) == Scalar(9)
 
 
 coeffs = st.integers(min_value=-6, max_value=6)
@@ -93,6 +94,37 @@ def polys(max_deg=6):
 def test_divexact_roundtrip(f, g):
     if g.is_zero():
         return
+    assert (f * g).divexact(g) == f
+
+
+# -- division over Q(sqrt d) in the shared dense kernel --------------------------
+
+surd_part = st.one_of(
+    st.just(0),
+    st.integers(min_value=-3, max_value=3),
+    st.integers(min_value=-(2**64), max_value=2**64),
+    st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4),
+)
+
+
+def surd_polys(d, max_deg):
+    def poly(pairs):
+        return LaurentPoly(
+            {i: Scalar(f"{a.numerator}/{a.denominator}", f"{b.numerator}/{b.denominator}", d)
+             for i, (a, b) in enumerate(pairs)}
+        )
+
+    return st.lists(st.tuples(surd_part, surd_part), min_size=1, max_size=max_deg + 1).map(poly)
+
+
+@given(st.sampled_from([2, 5, -3]).flatmap(lambda d: st.tuples(surd_polys(d, 6), surd_polys(d, 4))))
+@settings(max_examples=100, deadline=None)
+def test_poly_divmod_over_quadratic_fields(fg):
+    f, g = fg
+    assume(not g.is_zero())
+    q, r = poly_divmod(f, g)
+    assert q * g + r == f
+    assert r.is_zero() or r.top() < g.top()
     assert (f * g).divexact(g) == f
 
 
@@ -132,7 +164,7 @@ def rational_polys(max_deg):
 
 
 def euclid(f, g):
-    return _euclid_gcd(_dense(f), _dense(g))
+    return from_dense(quotient_gcd(SCALARS, to_dense(f), to_dense(g)))
 
 
 @given(
@@ -157,7 +189,7 @@ def test_heuristic_gcd_finds_planted_factor_with_64_bit_coefficients():
     common = make_poly(2**64 - 59, -(2**63) + 25, 3)
     f = common * make_poly(2**61 + 1, 7, -(2**64))
     g = common * make_poly(-5, 2**64 - 1) * common
-    h = laurent._heuristic_gcd(laurent._primitive_zz(_dense(f)), laurent._primitive_zz(_dense(g)))
+    h = laurent._heuristic_gcd(laurent._primitive_zz(to_dense(f)), laurent._primitive_zz(to_dense(g)))
     assert h is not None
     assert poly_gcd(f, g) == common.monic() == euclid(f, g)
 
@@ -183,7 +215,7 @@ def test_heuristic_give_up_falls_back_to_the_same_result(monkeypatch, limit):
     before = [poly_gcd(f, g) for f, g in pairs], [squarefree_part(f) for f in sqfree]
     monkeypatch.setattr(laurent, limit, 0)
     for f, g in pairs[:2]:
-        assert laurent._heuristic_gcd(laurent._primitive_zz(_dense(f)), laurent._primitive_zz(_dense(g))) is None
+        assert laurent._heuristic_gcd(laurent._primitive_zz(to_dense(f)), laurent._primitive_zz(to_dense(g))) is None
     after = [poly_gcd(f, g) for f, g in pairs], [squarefree_part(f) for f in sqfree]
     assert after == before
     assert before[0][0] == make_poly(-1, 1)

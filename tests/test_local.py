@@ -1,3 +1,4 @@
+import gc
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -19,6 +20,7 @@ from annuli.local import (
     singular_parameters,
     tangency_delta,
     TangentCase,
+    _compose_laurent_series,
     _third_term_closed_form,
     _with_window,
 )
@@ -228,3 +230,17 @@ def test_third_term_closed_form_stays_exact():
     data = tangency_delta(r0, delta_max(exponent_profile(r0)))
     assert data.as_dict()["third_term_closed_form"] == 60  # an integer stays a JSON number
     assert replace(data, third_term_closed_form=val).as_dict()["third_term_closed_form"] == "2/3"
+
+
+def test_compose_laurent_series_leaves_no_reference_cycle():
+    inner = TS(SCALARS, 1, [Scalar(1), Scalar(1)] + [Scalar(0)] * 6)  # t + t^2
+    f = LaurentPoly({-1: 1, 3: 1})  # 1/t + t^3
+    gc.collect()
+    gc.disable()
+    try:
+        out = _compose_laurent_series(f, SCALARS, inner, 6)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    # 1/(t + t^2) + (t + t^2)^3 = t^-1 - 1 + t - t^2 + 2 t^3 + 2 t^4 + O(t^5)
+    assert [out.coeff(e) for e in range(-1, 5)] == [Scalar(c) for c in (1, -1, 1, -1, 2, 2)]

@@ -1,9 +1,26 @@
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import annuli
+from annuli import laurent
 from annuli._ratio import QQ
 from annuli.laurent import LaurentPoly, poly_gcd, make_poly
-from annuli.rings import BranchState, LinearQuotient, Quotient, SCALARS, SplitEvent, explore_branches, quotient_gcd
+from annuli.rings import (
+    BranchState,
+    LinearQuotient,
+    NotDivisible,
+    Quotient,
+    SCALARS,
+    SplitEvent,
+    dense_divexact,
+    dense_mul,
+    explore_branches,
+    quotient_gcd,
+)
 from annuli.scalars import DivisionByZero, FieldMismatch, Scalar
 from annuli.series import TS, laurent_at_shifted_point
 
@@ -34,6 +51,34 @@ def test_gcd_with_zero_is_monic():
     R = ring_mod(1, 1, 1)
     f = [R.from_scalar(Scalar(2)), R.from_scalar(Scalar(4))]
     assert quotient_gcd(R, f, []) == [R.from_scalar(Scalar("1/2")), R.one()]
+
+
+def test_inexact_division_over_a_quotient_raises_not_divisible():
+    # over Q[s]/(s^2+s+1): u^2 + 1 leaves the remainder s^2 + 1 = -s by u - s
+    R = ring_mod(1, 1, 1)
+    s = R.gen()
+    f = [R.one(), R.zero(), R.one()]
+    g = [R.neg(s), R.one()]
+    with pytest.raises(NotDivisible):
+        dense_divexact(R, f, g)
+    assert dense_divexact(R, dense_mul(R, f, g), g) == f
+    assert laurent.NotDivisible is NotDivisible
+
+
+def test_inexact_division_raises_under_optimize():
+    code = (
+        "from annuli.rings import NotDivisible, Quotient, SCALARS, dense_divexact\n"
+        "from annuli.scalars import Scalar\n"
+        "R = Quotient(SCALARS, [Scalar(1), Scalar(1), Scalar(1)], 'pt')\n"
+        "try:\n"
+        "    dense_divexact(R, [R.one(), R.zero(), R.one()], [R.neg(R.gen()), R.one()])\n"
+        "except NotDivisible:\n"
+        "    print('raised')\n"
+    )
+    src = os.path.dirname(os.path.dirname(annuli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "raised"
 
 
 def test_inv_zero_raises():

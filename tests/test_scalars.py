@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from annuli._ratio import QQ
-from annuli.scalars import DivisionByZero, FieldMismatch, Scalar, _int_nth_root, nth_root_exact, scalar_arith
+from annuli.scalars import DivisionByZero, FieldMismatch, Scalar, _int_nth_root, nth_root_exact
 
 
 def test_rational_addition():
@@ -23,10 +23,10 @@ def test_inverse_sqrt2():
 
 
 def test_named_ops():
-    assert scalar_arith(Scalar(2), Scalar(3), "add") == Scalar(5)
-    assert scalar_arith(Scalar(2), Scalar(3), "mul") == Scalar(6)
-    assert scalar_arith(Scalar(2), None, "neg") == Scalar(-2)
-    assert scalar_arith(Scalar(4), None, "inv") == Scalar("1/4")
+    assert Scalar(2) + Scalar(3) == Scalar(5)
+    assert Scalar(2) * Scalar(3) == Scalar(6)
+    assert -Scalar(2) == Scalar(-2)
+    assert Scalar(4).inv() == Scalar("1/4")
 
 
 def test_inv_zero_raises():
