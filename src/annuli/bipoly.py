@@ -245,17 +245,24 @@ def uv_eval_diag(F: UV) -> LaurentPoly:
     return out
 
 
+def poly_eval_ring(p: LaurentPoly, ring, x):
+    """p(x) for a plain polynomial p and a ring element x (Horner)."""
+    acc = ring.zero()
+    if p.is_zero():
+        return acc
+    for e in range(p.top(), -1, -1):
+        acc = ring.mul(acc, x)
+        c = p[e]
+        if not c.is_zero():
+            acc = ring.add(acc, ring.from_scalar(c))
+    return acc
+
+
 def uv_eval_ring(F: UV, ring, u_val, v_val):
     """Evaluate a UV polynomial at ring elements (u_val, v_val)."""
     out = ring.zero()
     for d, p in F.items():
         if p.is_zero():
             continue
-        pv = ring.zero()  # Horner in v
-        for e in range(p.top(), -1, -1):
-            pv = ring.mul(pv, v_val)
-            c = p[e]
-            if not c.is_zero():
-                pv = ring.add(pv, ring.from_scalar(c))
-        out = ring.add(out, ring.mul(pv, ring.pow(u_val, d)))
+        out = ring.add(out, ring.mul(poly_eval_ring(p, ring, v_val), ring.pow(u_val, d)))
     return out

@@ -18,6 +18,7 @@ from math import gcd
 from .bipoly import (
     UV,
     double_point_system,
+    poly_eval_ring,
     uv_content,
     uv_deg,
     uv_eval_ring,
@@ -316,19 +317,8 @@ def _upoly_repr(K, g: list) -> str:
 
 
 def _uv_to_upoly(F: UV, K, v) -> list:
-    du = uv_deg(F)
-    out = []
-    for d in range(du + 1):
-        p = F.get(d, LaurentPoly.zero())
-        acc = K.zero()
-        if not p.is_zero():
-            for e in range(p.top(), -1, -1):
-                acc = K.mul(acc, v)
-                c = p[e]
-                if not c.is_zero():
-                    acc = K.add(acc, K.from_scalar(c))
-        out.append(acc)
-    return out
+    """F(u, v) as a dense polynomial in u over K, v an element of K."""
+    return [poly_eval_ring(F.get(d, LaurentPoly.zero()), K, v) for d in range(uv_deg(F) + 1)]
 
 
 def _uv_divexact(F: UV, G: UV) -> UV | None:
@@ -422,25 +412,29 @@ def _witness_point(curve: ParametricCurve, w: Witness) -> dict | None:
     """Common image point of the witness pair, evaluated exactly in the tower."""
     if not w.u_poly:
         return None
-    mod_dense = to_dense(w.v_factor)
 
     def fn(st: BranchState):
-        K = st.quotient(SCALARS, "wv", mod_dense)
-        v = K.gen()
-        if len(w.u_poly) == 2:
-            ring = K
-            u_val = K.neg(w.u_poly[0])
-            v_val = v
-        else:
-            ring = st.quotient(K, "wu", list(w.u_poly))
-            u_val = ring.gen()
-            v_val = ring.from_base(v)
+        ring, u_val, v_val = _witness_tower(st, w)
         x_val = _sym_eval(ring, curve.phi, u_val, v_val)
         y_val = _sym_eval(ring, curve.psi, u_val, v_val)
         return {"x": ring.to_repr(x_val), "y": ring.to_repr(y_val)}
 
     res = explore_branches(fn)
     return res[0] if res else None
+
+
+def _witness_tower(st: BranchState, w: Witness) -> tuple:
+    """(ring, u, v): the witness pair's (t + t', t t') on this branch.
+
+    v generates Q[v]/(v_factor) at level "wv"; u is the root of a linear
+    u_poly there, and generates K[u]/(u_poly) at level "wu" otherwise.
+    """
+    K = st.quotient(SCALARS, "wv", to_dense(w.v_factor))
+    v = K.gen()
+    if len(w.u_poly) == 2:
+        return K, K.neg(w.u_poly[0]), v
+    ring = st.quotient(K, "wu", list(w.u_poly))
+    return ring, ring.gen(), ring.from_base(v)
 
 
 def _sym_eval(ring, f: LaurentPoly, u, v):
@@ -472,16 +466,9 @@ def verify_witness(curve: ParametricCurve, w: Witness) -> bool:
     if w.v_factor[0].is_zero():
         return False
     D, E = double_point_system(curve.phi, curve.psi)
-    mod_dense = to_dense(w.v_factor)
 
     def fn(st: BranchState):
-        K = st.quotient(SCALARS, "wv", mod_dense)
-        v = K.gen()
-        if len(w.u_poly) == 2:
-            ring, u_val, v_val = K, K.neg(w.u_poly[0]), v
-        else:
-            ring = st.quotient(K, "wu", list(w.u_poly))
-            u_val, v_val = ring.gen(), ring.from_base(v)
+        ring, u_val, v_val = _witness_tower(st, w)
         okD = ring.decide_zero(uv_eval_ring(D, ring, u_val, v_val))
         okE = ring.decide_zero(uv_eval_ring(E, ring, u_val, v_val))
         disc = ring.sub(ring.mul(u_val, u_val), ring.mul(ring.from_scalar(Scalar(4)), v_val))

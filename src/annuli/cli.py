@@ -214,18 +214,5 @@ def _cmd_oracle_delta(args) -> int:
     return 0
 
 
-def run_analyze(path: str, json_out: str | None = None) -> int:
-    """Programmatic `annuli analyze`."""
-    args = ["analyze", path]
-    if json_out:
-        args += ["--json", json_out]
-    return main(args)
-
-
-def run_catalog(command: str, *cli_args: str) -> int:
-    """Programmatic `annuli catalog list|gen|verify`."""
-    return main(["catalog", command, *cli_args])
-
-
 if __name__ == "__main__":
     raise SystemExit(main())

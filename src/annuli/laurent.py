@@ -12,7 +12,6 @@ the heuristic integer gcd below.
 from __future__ import annotations
 
 from math import gcd, isqrt, lcm
-from typing import Iterable
 
 from ._ratio import QQ, int_gcd
 # NotDivisible is re-exported: LaurentPoly.divexact raises it
@@ -59,16 +58,6 @@ class LaurentPoly:
     @staticmethod
     def t(e: int = 1) -> "LaurentPoly":
         return LaurentPoly({e: ONE})
-
-    @staticmethod
-    def from_pairs(pairs: Iterable[tuple[int, object]]) -> "LaurentPoly":
-        d: dict[int, Scalar] = {}
-        for e, c in pairs:
-            c = Scalar.of(c)
-            if e in d:
-                raise ValueError(f"duplicate exponent {e}")
-            d[e] = c
-        return LaurentPoly(d)
 
     # -- structure -------------------------------------------------------------
 
@@ -213,20 +202,6 @@ class LaurentPoly:
                 if xinv is None:
                     xinv = x.inv()
                 out = out + c * xinv ** (-e)
-        return out
-
-    def eval_in(self, ring, x):
-        """Evaluate at an element of an arbitrary coefficient ring."""
-        out = ring.zero()
-        xinv = None
-        for e, c in self.coeffs.items():
-            ce = ring.from_scalar(c)
-            if e >= 0:
-                out = ring.add(out, ring.mul(ce, ring.pow(x, e)))
-            else:
-                if xinv is None:
-                    xinv = ring.inv(x)
-                out = ring.add(out, ring.mul(ce, ring.pow(xinv, -e)))
         return out
 
     # -- exact division ----------------------------------------------------------

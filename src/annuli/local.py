@@ -2,8 +2,7 @@
 
 Finite side: singular parameters are the common C*-roots of the derivative
 numerators; each squarefree factor is analyzed in a quotient ring (dynamic
-evaluation), adjoining an n-th root of the leading unit to reach the standard
-form x = sigma^n.  Characteristic data comes from the gcd chain over the
+evaluation).  Characteristic data comes from the gcd chain over the
 sigma-support of the subordinate component, the codimension from vanishing
 essential positions.
 
@@ -15,6 +14,15 @@ pole order; hidden double points compare this against the typical curve with
 the same exponent profile.  When ps = rq the far collisions are resolved by an
 exact root-of-unity coset automaton comparing the two places' expansions on
 the common exponent lattice.
+
+Both sides expand a branch the same way.  `_standard_form` brings the base
+coordinate x = lead tau^v0 (1 + h(tau)), of signed order v0, to the standard
+form x = sigma^v0 with sigma = tau (lead (1 + h))^(1/v0), adjoining a root g
+of g^|v0| = lead as a new tower level, and reverts sigma(tau).  When lead is
+a rational scalar with an exact rational |v0|-th root, g is that root and no
+level is adjoined.  `_compose_laurent_series` then expands the other
+coordinate in sigma: a Laurent polynomial at a place, a truncated series at a
+finite point.
 """
 
 from __future__ import annotations
@@ -26,9 +34,9 @@ from math import gcd, lcm
 
 from ._ratio import rat, rat_str
 from .curves import ExponentProfile, ParametricCurve, exponent_profile
-from .laurent import LaurentPoly, from_dense, poly_divmod, poly_gcd, squarefree_part, to_dense
+from .laurent import LaurentPoly, from_dense, poly_gcd, squarefree_part, to_dense
 from .rings import BranchState, SCALARS, explore_branches
-from .scalars import Scalar
+from .scalars import Scalar, nth_root_exact
 from .series import TS, TruncationCap, laurent_at_shifted_point
 
 
@@ -101,9 +109,6 @@ class ChainData:
             out += (d_prev - d) * e
             d_prev = d
         return out
-
-    def last_char(self) -> int | None:
-        return self.char_exponents[-1] if self.char_exponents else None
 
 
 def scan_chain(ring, series: TS, ram: int, scan_from: int) -> ChainData:
@@ -233,22 +238,6 @@ class PointAnalysis:
         return (self.orbit, tuple(sorted((e, repr(c)) for e, c in self.factor.coeffs.items())))
 
 
-def _compose_series(f: TS, inner: TS, window: int) -> TS:
-    """f(inner) for a truncated series f with val >= 0 and val(inner) = 1."""
-    r = f.ring
-    fn = f.normalized() if f.cs else f
-    if not fn.cs:
-        return TS(r, window, [])
-    top = fn.prec - 1
-    acc = TS(r, 0, [fn.coeff(top)] + [r.zero()] * (window - 1))
-    for e in range(top - 1, fn.val - 1, -1):
-        acc = acc.mul(inner).truncate(window)
-        acc = acc.add(TS(r, 0, [fn.coeff(e)] + [r.zero()] * (window - 1)))
-    if fn.val > 0:
-        acc = acc.mul(inner.pow_int(fn.val)).truncate(window)
-    return acc
-
-
 def analyze_point(
     curve: ParametricCurve, factor: LaurentPoly, swap: bool = False
 ) -> list[PointAnalysis]:
@@ -265,24 +254,11 @@ def analyze_point(
     def run(window: int) -> list[PointAnalysis]:
         def fn(st: BranchState) -> PointAnalysis:
             R = st.quotient(SCALARS, "pt", to_dense(factor))
-            center = R.gen()
-            xs = laurent_at_shifted_point(R, phi, center, window)
-            xs = xs.sub(TS(R, 0, [xs.coeff(0)] + [R.zero()] * (window - 1)))
-            xs = xs.normalized()
+            xs = _shifted_series(R, phi, window).normalized()
             n = xs.order()
-            lead = xs.coeff(n)
-            root_mod = [R.neg(lead)] + [R.zero()] * (n - 1) + [R.one()]
-            R2 = st.quotient(R, "rt", root_mod)
-            g = R2.gen()
-            xs2 = TS(R2, xs.val, [R2.from_base(c) for c in xs.cs])
-            unit = xs2.shift(-n).scale(R2.inv(R2.from_base(lead)))
-            w = unit.nth_root_monic(n)
-            sigma_of_tau = w.shift(1).scale(g)  # sigma = g * tau * (1+h)^(1/n)
-            tau_of_sigma = sigma_of_tau.reversion()
-            ys = laurent_at_shifted_point(R, psi, center, window)
-            ys = ys.sub(TS(R, 0, [ys.coeff(0)] + [R.zero()] * (window - 1)))
-            ys2 = TS(R2, ys.val, [R2.from_base(c) for c in ys.cs])
-            y_sigma = _compose_series(ys2, tau_of_sigma, window)
+            R2, tau_of_sigma = _standard_form(st, R, "rt", xs, n)
+            ys = _shifted_series(R, psi, window).lift(R2)
+            y_sigma = _compose_laurent_series(ys, R2, tau_of_sigma, window)
             chain = scan_chain(R2, y_sigma, n, 1)
             mod_now = st.modulus("pt", to_dense(factor))
             return PointAnalysis(
@@ -329,8 +305,7 @@ def field_linear_split(f: LaurentPoly) -> list[LaurentPoly]:
     for c in sorted(cands, key=lambda s: (s.a < 0, abs(s.a))):
         while not f.is_constant() and f.eval(c).is_zero():
             pieces.append(LaurentPoly({1: Scalar(1), 0: -c}))
-            f, r = poly_divmod(f, pieces[-1])
-            assert r.is_zero()
+            f = f.divexact(pieces[-1])
     if not f.is_constant():
         pieces.append(f.monic())
     return pieces
@@ -372,15 +347,16 @@ def branch_series_at_point(curve: ParametricCurve, factor: LaurentPoly, window: 
 
     def fn(st: BranchState):
         R = st.quotient(SCALARS, "pt", to_dense(factor))
-        center = R.gen()
-        out = []
-        for f in (curve.phi, curve.psi):
-            ts = laurent_at_shifted_point(R, f, center, window)
-            ts = ts.sub(TS(R, 0, [ts.coeff(0)] + [R.zero()] * (window - 1)))
-            out.append(ts)
-        return from_dense(st.modulus("pt", to_dense(factor))), R, out[0], out[1]
+        xs, ys = (_shifted_series(R, f, window) for f in (curve.phi, curve.psi))
+        return from_dense(st.modulus("pt", to_dense(factor))), R, xs, ys
 
     return explore_branches(fn)
+
+
+def _shifted_series(R, f: LaurentPoly, window: int) -> TS:
+    """f(c + tau) - f(c) to O(tau^window), c the generator of `R`."""
+    ts = laurent_at_shifted_point(R, f, R.gen(), window)
+    return ts.sub(TS.one_term(R, ts.coeff(0), 0, window))
 
 
 # ---------------------------------------------------------------------------
@@ -470,53 +446,26 @@ def place_subordinate_series(
     key: str,
     force_base: str | None = None,
 ):
-    """Expansion data of the subordinate coordinate in sigma at one place.
+    """(ring, ram, series in sigma) of the subordinate coordinate at one place.
 
     The base coordinate (dominant one unless `force_base` overrides) equals
-    sigma^v0 exactly, v0 its signed order at the place; g^|v0| = leading unit.
-    When the leading unit has an exact rational root no extension is made.
+    sigma^v0 exactly, v0 = -ram its signed order at the place.
     """
-    from .scalars import nth_root_exact
-
     prof = exponent_profile(curve)
     if force_base is None:
-        base_is_x, ram, kappa = place_base_data(prof, place)
+        base_is_x, ram, _ = place_base_data(prof, place)
     else:
         base_is_x = force_base == "x"
         pi_a, ka_a, _, _ = _place_orientation(prof, place)
         ram = pi_a if base_is_x else ka_a
-        kappa = ka_a if base_is_x else pi_a
         if ram == 0:
             raise PlaceNotAtInfinity(f"forced base has order 0 at place {place}")
     dom, sub = (curve.phi, curve.psi) if base_is_x else (curve.psi, curve.phi)
     if place == "inf":
         dom = dom.compose_inv_t()
         sub = sub.compose_inv_t()
-    v0 = -ram  # signed sigma-order of the base coordinate
-    nroot = abs(ram)
-    dom_ts = _laurent_to_ts(base_ring, dom, window)
-    lead = dom_ts.coeff(v0)
-    lead_sc = base_ring.as_scalar(lead)
-    root = nth_root_exact(lead_sc, nroot) if lead_sc is not None else None
-    if root is not None:
-        R2 = base_ring
-        g = R2.from_scalar(root)
-        dom2 = dom_ts
-    else:
-        root_mod = [base_ring.neg(lead)] + [base_ring.zero()] * (nroot - 1) + [base_ring.one()]
-        R2 = st.quotient(base_ring, key, root_mod)
-        g = R2.gen()
-        dom2 = TS(R2, dom_ts.val, [R2.from_base(c) for c in dom_ts.cs])
-    unit = dom2.shift(-v0).scale(R2.inv(dom2.coeff(v0)))  # 1 + h(tau)
-    w = unit.nth_root_monic(nroot)
-    if v0 < 0:
-        # sigma = tau g^-1 (1+h)^(-1/|v0|): then sigma^v0 = dom exactly
-        sigma_of_tau = w.inv().shift(1).scale(R2.inv(g))
-    else:
-        sigma_of_tau = w.shift(1).scale(g)
-    tau_of_sigma = sigma_of_tau.reversion()
-    sub_sigma = _compose_laurent_series(sub, R2, tau_of_sigma, window)
-    return R2, ram, kappa, sub_sigma, g
+    R2, tau_of_sigma = _standard_form(st, base_ring, key, _laurent_to_ts(base_ring, dom, window), -ram)
+    return R2, ram, _compose_laurent_series(sub, R2, tau_of_sigma, window)
 
 
 def _laurent_to_ts(ring, f: LaurentPoly, window: int) -> TS:
@@ -530,17 +479,54 @@ def _laurent_to_ts(ring, f: LaurentPoly, window: int) -> TS:
     return TS(ring, b, cs)
 
 
-def _compose_laurent_series(f: LaurentPoly, ring, inner: TS, window: int) -> TS:
-    """f(inner) for a Laurent polynomial f and a series of valuation 1.
+def _standard_form(st: BranchState, ring, key: str, dom: TS, v0: int):
+    """(R2, tau(sigma)) such that dom(tau(sigma)) = sigma^v0 exactly.
 
-    inner^k is the square of inner^h, h = k/2 rounded towards 0, times inner
-    (or its inverse when k < 0) for odd k, each kept to `window` terms past
-    its valuation; the powers met on the way are kept for later exponents.
+    `dom` has signed order v0 != 0 and leading coefficient lead.  R2 adjoins
+    g with g^|v0| = lead at tower level `key`; when lead is a scalar with an
+    exact rational root, g is that root and R2 is `ring`.  Writing dom =
+    lead tau^v0 (1 + h), sigma(tau) = tau (g^|v0| (1 + h))^(1/v0), and tau(sigma)
+    is its reversion.
     """
-    powers = {0: TS(ring, 0, [ring.one()] + [ring.zero()] * (window - 1))}
+    n = abs(v0)
+    lead = dom.coeff(v0)
+    lead_sc = ring.as_scalar(lead)
+    root = nth_root_exact(lead_sc, n) if lead_sc is not None else None
+    if root is not None:
+        R2, g = ring, ring.from_scalar(root)
+    else:
+        R2 = st.quotient(ring, key, [ring.neg(lead)] + [ring.zero()] * (n - 1) + [ring.one()])
+        g = R2.gen()
+        dom = dom.lift(R2)
+    unit = dom.shift(-v0).scale(R2.inv(dom.coeff(v0)))  # 1 + h(tau)
+    w = unit.nth_root_monic(n)
+    if v0 < 0:
+        sigma_of_tau = w.inv().shift(1).scale(R2.inv(g))
+    else:
+        sigma_of_tau = w.shift(1).scale(g)
+    return R2, sigma_of_tau.reversion()
+
+
+def _compose_laurent_series(f, ring, inner: TS, window: int) -> TS:
+    """f(inner) for a series `inner` of valuation 1 over `ring`.
+
+    f is a Laurent polynomial over the scalars or a truncated series over
+    `ring`.  inner^k is the square of inner^h, h = k/2 rounded towards 0,
+    times inner (or its inverse when k < 0) for odd k, each kept to `window`
+    terms past its valuation; the powers met on the way are kept for later
+    exponents.  A truncated f is known only below f.prec, so its image is cut
+    back to O(sigma^f.prec).
+    """
+    if isinstance(f, TS):
+        terms = [(f.val + i, c) for i, c in enumerate(f.cs) if not ring.is_zero(c)]
+        cut = f.prec
+    else:
+        terms = [(e, ring.from_scalar(f.coeffs[e])) for e in f.support()]
+        cut = None
+    powers = {0: TS.one_term(ring, ring.one(), 0, window)}
     inv = None
     out = None
-    for e in f.support():
+    for e, c in terms:
         if e < 0 and inv is None:
             inv = inner.inv()
         chain = [e]
@@ -553,9 +539,11 @@ def _compose_laurent_series(f: LaurentPoly, ring, inner: TS, window: int) -> TS:
             if k % 2:
                 ts = ts.mul(inner if k > 0 else inv)
             powers[k] = ts.truncate(ts.val + window)
-        term = powers[e].scale(ring.from_scalar(f.coeffs[e]))
+        term = powers[e].scale(c)
         out = term if out is None else out.add(term)
-    return out
+    if out is None:
+        return TS.zero(ring, window if cut is None else cut)
+    return out if cut is None else out.truncate(cut)
 
 
 def delta2_max_at_place(prof: ExponentProfile, place: str) -> int:
@@ -578,9 +566,7 @@ def analyze_place(curve: ParametricCurve, place: str) -> PlaceAnalysis:
 
     def attempt(window: int) -> ChainData:
         def fn(st: BranchState):
-            R2, ram_, _, sub_sigma, _ = place_subordinate_series(
-                curve, place, window, st, SCALARS, "rt"
-            )
+            R2, ram_, sub_sigma = place_subordinate_series(curve, place, window, st, SCALARS, "rt")
             return scan_chain(R2, sub_sigma, ram_, lead_exp + 1)
 
         return explore_branches(fn)[0]
@@ -795,9 +781,9 @@ def tangency_delta(curve: ParametricCurve, delta2max: int, pl_inf: PlaceAnalysis
 
     def attempt(window: int):
         def fn(st: BranchState):
-            Ri, _, _, yA, _ = place_subordinate_series(curve, "inf", window, st, SCALARS, "ri")
-            Rf, _, _, yB, _ = place_subordinate_series(curve, "0", window, st, Ri, "r0")
-            yA2 = yA if Rf is Ri else TS(Rf, yA.val, [Rf.from_base(c) for c in yA.cs])
+            Ri, _, yA = place_subordinate_series(curve, "inf", window, st, SCALARS, "ri")
+            Rf, _, yB = place_subordinate_series(curve, "0", window, st, Ri, "r0")
+            yA2 = yA.lift(Rf)
             end = min(yA2.prec * (L // p), yB.prec * (L // r))
             # the branch at infinity collides with the r fiber points of the
             # zero place and vice versa: one automaton run per direction
@@ -861,10 +847,7 @@ def tangency_delta(curve: ParametricCurve, delta2max: int, pl_inf: PlaceAnalysis
 
 def _pair_sum(chain: ChainData) -> int:
     """sum (q_j p_{j+1}..p_l - 1)(p_j - 1) p_{j+1}..p_l over the place pairs."""
-    out = 0
-    for e, d_prev, d in zip(chain.char_exponents, chain.dchain, chain.dchain[1:]):
-        out += (-e - 1) * (d_prev // d - 1) * d
-    return out
+    return milnor_from_exponents([-e for e in chain.char_exponents], chain.dchain)
 
 
 def _third_term_closed_form(prof, vpossed, deaths, L: int, v_lat: int) -> Fraction:

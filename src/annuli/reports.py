@@ -137,9 +137,7 @@ def _verify_place_notes(curve: ParametricCurve, notes: dict) -> bool | None:
         want = notes["place_0_y_in_x_prefix"]
 
         def fn(st):
-            R2, ram, _, sub, _ = place_subordinate_series(
-                curve, "0", 24, st, SCALARS, "rt", force_base="x"
-            )
+            R2, _, sub = place_subordinate_series(curve, "0", 24, st, SCALARS, "rt", force_base="x")
             sub = sub.normalized(decide=True)
             got = []
             pos = sub.val

@@ -42,8 +42,11 @@ class TS:
         cs = [c] + [ring.zero()] * (prec - e - 1)
         return TS(ring, e, cs)
 
-    def copy(self) -> "TS":
-        return TS(self.ring, self.val, list(self.cs))
+    def lift(self, ring) -> "TS":
+        """The same series over `ring`, an extension of this series' ring."""
+        if ring is self.ring:
+            return self
+        return TS(ring, self.val, [ring.from_base(c) for c in self.cs])
 
     def coeff(self, e: int):
         if e < self.val or e >= self.prec:
@@ -60,10 +63,6 @@ class TS:
         while i < len(self.cs) and test(self.cs[i]):
             i += 1
         return TS(r, self.val + i, self.cs[i:])
-
-    def is_zero_to_prec(self) -> bool:
-        r = self.ring
-        return all(r.is_zero(c) for c in self.cs)
 
     def order(self) -> int:
         """Exact order of the series; TruncationCap if it looks like zero."""
@@ -113,9 +112,6 @@ class TS:
     def scale(self, c) -> "TS":
         r = self.ring
         return TS(r, self.val, [r.mul(c, x) for x in self.cs])
-
-    def scale_scalar(self, q: Scalar) -> "TS":
-        return self.scale(self.ring.from_scalar(q))
 
     def inv(self) -> "TS":
         """Inverse of a unit-leading series (splits if leading is a zero divisor)."""
@@ -197,7 +193,7 @@ class TS:
     def nth_root_monic(self, n: int) -> "TS":
         """(1 + h)^(1/n) for a series with val 0 and leading coefficient 1."""
         lg = self.log_unit()
-        return lg.scale_scalar(Scalar(QQ(1, n))).exp_pos()
+        return lg.scale(self.ring.from_scalar(Scalar(QQ(1, n)))).exp_pos()
 
     def reversion(self) -> "TS":
         """Compositional inverse of a series with val 1 and unit linear coefficient.

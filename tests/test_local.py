@@ -11,6 +11,7 @@ from annuli.local import (
     analyze_place,
     codimension_nu,
     ext_codim_point,
+    field_linear_split,
     leading_invariants,
     milnor_from_exponents,
     milnor_from_pairs,
@@ -244,3 +245,15 @@ def test_compose_laurent_series_leaves_no_reference_cycle():
         gc.enable()
     # 1/(t + t^2) + (t + t^2)^3 = t^-1 - 1 + t - t^2 + 2 t^3 + 2 t^4 + O(t^5)
     assert [out.coeff(e) for e in range(-1, 5)] == [Scalar(c) for c in (1, -1, 1, -1, 2, 2)]
+
+
+def test_field_linear_split_divides_out_rational_roots():
+    """A double rational root, a simple one and an irreducible quadratic block."""
+    one, c = LaurentPoly.const(1), LaurentPoly.const
+    f = c(3) * (t(1) - one) ** 2 * (c(2) * t(1) + c(3)) * (t(2) + t(1) + one)
+    pieces = field_linear_split(f)
+    assert pieces == [t(1) - one, t(1) - one, t(1) + c("3/2"), t(2) + t(1) + one]
+    prod = one
+    for p in pieces:
+        prod = prod * p
+    assert prod == f.monic()

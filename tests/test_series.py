@@ -1,6 +1,9 @@
+import random
+
+from annuli._ratio import QQ
 from annuli.laurent import LaurentPoly
 from annuli.local import _compose_laurent_series
-from annuli.rings import SCALARS
+from annuli.rings import SCALARS, Quotient
 from annuli.scalars import Scalar
 from annuli.series import TS, laurent_at_shifted_point
 
@@ -53,3 +56,36 @@ def test_compose_laurent_negative_powers():
     out = _compose_laurent_series(f, SCALARS, inner, 7)  # to O(t^6)
     # 1/(t + t^2) = t^-1 - 1 + t - t^2 + ...
     assert out.coeff(-1) == Scalar(1) and out.coeff(0) == Scalar(-1) and out.coeff(1) == Scalar(1)
+
+
+def _horner_compose(f, inner, window):
+    """f(inner) by Horner's rule, each step cut to `window` terms."""
+    r = f.ring
+    fn = f.normalized()
+    top = fn.prec - 1
+    acc = TS(r, 0, [fn.coeff(top)] + [r.zero()] * (window - 1))
+    for e in range(top - 1, fn.val - 1, -1):
+        acc = acc.mul(inner).truncate(window)
+        acc = acc.add(TS(r, 0, [fn.coeff(e)] + [r.zero()] * (window - 1)))
+    if fn.val > 0:
+        acc = acc.mul(inner.pow_int(fn.val)).truncate(window)
+    return acc
+
+
+def test_compose_truncated_series_keeps_its_precision():
+    """A truncated f is known only below f.prec: f(inner) may claim no more."""
+    R = Quotient(SCALARS, [Scalar(1), Scalar(1), Scalar(1)], "q")  # s^2 + s + 1
+    rnd = random.Random(7)
+
+    def elt():
+        a, b = (Scalar(QQ(rnd.randint(-9, 9) or 1, rnd.randint(1, 4))) for _ in range(2))
+        return R.add(R.from_scalar(a), R.mul(R.from_scalar(b), R.gen()))
+
+    window = 8
+    for val in (1, 2, 3):
+        f = TS(R, val, [elt() for _ in range(window - val)])  # dense, to O(tau^8)
+        inner = TS(R, 1, [elt() for _ in range(window)])  # to O(sigma^9)
+        out = _compose_laurent_series(f, R, inner, window)
+        ref = _horner_compose(f, inner, window)
+        assert out.prec <= f.prec and out.prec == ref.prec
+        assert all(R.eq(out.coeff(e), ref.coeff(e)) for e in range(min(out.val, ref.val), out.prec))
