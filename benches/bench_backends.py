@@ -25,7 +25,7 @@ WORKLOAD = textwrap.dedent(
         raise SystemExit(0)
     from annuli.laurent import LaurentPoly, make_poly, resultant, poly_gcd
     from annuli.catalog import gen_series, series_id
-    from annuli.certify import ph_ledger, embedding_verdict, oracle_delta_at_factor
+    from annuli.certify import ph_ledger, embedding_verdict, injectivity_certificate, oracle_delta_at_factor
     from annuli.rings import SCALARS, Quotient
     from annuli.scalars import Scalar
     from annuli.series import TS
@@ -51,6 +51,13 @@ WORKLOAD = textwrap.dedent(
         ph_ledger(c)
         embedding_verdict(c, with_ledger=False)
     out["certify_three_curves"] = round(time.time() - t0, 3)
+
+    # the injectivity certificate of the grid's longest operation: one
+    # subresultant chain, then the fiber decisions as gcds in Q[v]
+    c = gen_series(series_id("q", m=3, n=1))
+    t0 = time.time()
+    injectivity_certificate(c)
+    out["injectivity_q31"] = round(time.time() - t0, 3)
 
     # the semigroup oracle at a rational point, with the grid check's bound
     c = gen_series(series_id("q", m=2, n=1))

@@ -3,7 +3,10 @@
 The off-diagonal double-point equations of a curve (phi, psi) are formed as
 D(t, t') = num(phi(t) - phi(t')) / (t - t') and the analogous E; both are
 symmetric and get rewritten in u = t + t', v = t t'.  This module holds the
-(t, t') -> (u, v) rewriting and a subresultant PRS in u over Q(sqrt d)[v].
+(t, t') -> (u, v) rewriting and the subresultant PRS in u over Q(sqrt d)[v]
+(:func:`uv_prs`), which runs on Python integers: one common denominator is
+cleared per input, and a coefficient in Z[sqrt d][v] is a pair of integer
+lists.
 
 A UV polynomial is a dict {u_degree: v_polynomial} with LaurentPoly values of
 nonnegative support.
@@ -11,7 +14,12 @@ nonnegative support.
 
 from __future__ import annotations
 
-from .laurent import LaurentPoly, poly_gcd, content_and_primitive
+from itertools import chain
+from math import lcm
+
+from ._ratio import QQ
+from .laurent import LaurentPoly, poly_gcd
+from .rings import NotDivisible, int_convolve
 from .scalars import Scalar, ZERO
 
 UV = dict  # {int: LaurentPoly in v}
@@ -61,7 +69,8 @@ def _tt_div_diag(P: dict[tuple[int, int], Scalar]) -> dict[tuple[int, int], Scal
     row0 = dict(by_t.get(0, {}))
     for j, c in carry.items():
         row0[j] = row0.get(j, ZERO) + c
-    assert all(c.is_zero() for c in row0.values()), "quotient by (t - t') not exact"
+    if not all(c.is_zero() for c in row0.values()):
+        raise NotDivisible("quotient by (t - t') not exact")
     return out
 
 
@@ -108,37 +117,9 @@ def double_point_system(phi: LaurentPoly, psi: LaurentPoly) -> tuple[UV, UV]:
 # ---------------------------------------------------------------------------
 
 
-def uv_is_zero(F: UV) -> bool:
-    return not any(not p.is_zero() for p in F.values())
-
-
 def uv_deg(F: UV) -> int:
     ds = [d for d, p in F.items() if not p.is_zero()]
     return max(ds) if ds else -1
-
-
-def uv_lc(F: UV) -> LaurentPoly:
-    return F[uv_deg(F)]
-
-
-def uv_sub(F: UV, G: UV) -> UV:
-    out = {d: p for d, p in F.items() if not p.is_zero()}
-    for d, p in G.items():
-        q = out.get(d)
-        q = -p if q is None else q - p
-        if q.is_zero():
-            out.pop(d, None)
-        else:
-            out[d] = q
-    return out
-
-
-def uv_scale(F: UV, c: LaurentPoly) -> UV:
-    return {d: p * c for d, p in F.items() if not p.is_zero()}
-
-
-def uv_shift_mul(F: UV, k: int, c: LaurentPoly) -> UV:
-    return {d + k: p * c for d, p in F.items() if not p.is_zero()}
 
 
 def uv_content(F: UV) -> LaurentPoly:
@@ -153,86 +134,172 @@ def uv_content(F: UV) -> LaurentPoly:
     return g if not g.is_zero() else LaurentPoly.const(1)
 
 
-def uv_primitive(F: UV) -> UV:
-    out = {d: p for d, p in F.items() if not p.is_zero()}
-    if not out:
-        return out
-    cont = uv_content(out)
-    if not cont.is_constant():
-        out = {d: p.divexact(cont) for d, p in out.items()}
-    # strip the rational content as well, to tame integer growth
-    merged = LaurentPoly()
-    shift = 0
-    for d in sorted(out):
-        p = out[d]
-        merged = merged + p.shift(shift - p.bot())
-        shift += p.top() - p.bot() + 1
-    rc, _ = content_and_primitive(merged)
-    if not (rc == Scalar(1)):
-        inv = rc.inv()
-        out = {d: p * inv for d, p in out.items()}
+# ---------------------------------------------------------------------------
+# the subresultant PRS in u, on Python integers
+# ---------------------------------------------------------------------------
+#
+# A v-polynomial over Z[sqrt d] is a pair (a, b) of integer lists (low -> high,
+# no trailing zeros) standing for a + b sqrt(d); over Q, b is [].  A
+# u-polynomial is a list of such pairs, indexed by u-degree.
+
+
+def uv_prs(F: UV, G: UV) -> list[UV]:
+    """The subresultant PRS of F and G in u (Collins 1967; Brown & Traub 1971).
+
+    Returns [A, B, S_{n1-1}, ...]: A is whichever of F, G has the larger
+    u-degree (F on a tie), B the other, n1 = deg B, and each later element is
+    the subresultant S_{n-1} of A and B, n the u-degree of the element before
+    it, up to a nonzero rational factor.  The list stops after an element of
+    u-degree 0 or before a zero one, so its last element is, up to a factor in
+    Q(sqrt d)[v], the gcd of F and G in u over Q(sqrt d)(v); when that gcd is
+    constant, every root of Res_u(F, G) is a root of the last element.  The
+    chain specializes: at any v0 where lc(B) does not vanish, each element
+    after B is a nonzero multiple of the Euclidean remainder it stands for,
+    as long as the elements before it keep their degree and a nonzero leading
+    coefficient at v0.  Both inputs must be nonzero.
+    """
+    A = {k: p for k, p in F.items() if not p.is_zero()}
+    B = {k: p for k, p in G.items() if not p.is_zero()}
+    if uv_deg(A) < uv_deg(B):
+        A, B = B, A
+    d = 1
+    for p in chain(A.values(), B.values()):
+        if p.field_tag() != 1:
+            d = p.field_tag()
+    a, b = _uv_to_zz(A), _uv_to_zz(B)
+    out = [A, B]
+    g = h = ([1], [])
+    while len(b) > 1:
+        delta = len(a) - len(b)
+        r = _zz_prem(a, b, d)
+        if not r:
+            break
+        a, b = b, [_pdivexact(c, _pmul(g, _ppow(h, delta, d), d), d) for c in r]
+        out.append(_uv_from_zz(b, d))
+        g = a[-1]
+        if delta == 1:
+            h = g
+        elif delta > 1:
+            h = _pdivexact(_ppow(g, delta, d), _ppow(h, delta - 1, d), d)
     return out
 
 
-def uv_prem(F: UV, G: UV) -> UV:
-    """Pseudo-remainder of F by G in u: lc(G)^(dF-dG+1) F mod G."""
-    dG = uv_deg(G)
-    lcG = uv_lc(G)
-    R = {d: p for d, p in F.items() if not p.is_zero()}
-    dR = uv_deg(R)
-    steps = dR - dG + 1
-    while True:
-        dR = uv_deg(R)
-        if dR < dG or dR < 0:
-            break
-        lcR = R.get(dR, LaurentPoly.zero())
-        R = uv_sub(uv_scale(R, lcG), uv_shift_mul(G, dR - dG, lcR))
-        if uv_deg(R) == dR:  # defensive; subtraction must kill the top term
-            raise AssertionError("pseudo-division failed to reduce degree")
+def _uv_to_zz(F: UV) -> list:
+    """F over one common denominator, as a list of integer pairs."""
+    den = lcm(*(q.denominator for p in F.values() for c in p.coeffs.values() for q in (c.a, c.b)))
+    out = []
+    for k in range(uv_deg(F) + 1):
+        p = F.get(k, LaurentPoly.zero())
+        a, b = [0] * (p.top() + 1 if not p.is_zero() else 0), []
+        if any(not c.is_rational() for c in p.coeffs.values()):
+            b = list(a)
+        for e, c in p.coeffs.items():
+            a[e] = int(c.a.numerator) * (den // int(c.a.denominator))
+            if b:
+                b[e] = int(c.b.numerator) * (den // int(c.b.denominator))
+        out.append((_ztrim(a), _ztrim(b)))
+    return out
+
+
+def _uv_from_zz(f: list, d: int) -> UV:
+    """The UV polynomial of a list of integer pairs."""
+    out: UV = {}
+    for k, (a, b) in enumerate(f):
+        n = max(len(a), len(b))
+        pairs = zip(a + [0] * (n - len(a)), b + [0] * (n - len(b)))
+        p = LaurentPoly({e: Scalar(QQ(x), QQ(y), d) for e, (x, y) in enumerate(pairs) if x or y})
+        if not p.is_zero():
+            out[k] = p
+    return out
+
+
+def _zz_prem(a: list, b: list, d: int) -> list:
+    """Pseudo-remainder lc(b)^(deg a - deg b + 1) a mod b in u, trimmed."""
+    lc = b[-1]
+    db = len(b) - 1
+    r = list(a)
+    steps = len(a) - len(b) + 1
+    while r and len(r) - 1 >= db:
+        top, k = r[-1], len(r) - 1 - db
+        r = [_pmul(lc, c, d) for c in r]
+        for i, c in enumerate(b):
+            r[k + i] = _psub(r[k + i], _pmul(top, c, d))
+        while r and r[-1] == ([], []):
+            r.pop()
         steps -= 1
-    for _ in range(max(0, steps)):
-        R = uv_scale(R, lcG)
-    return R
+    if steps > 0 and r:
+        f = _ppow(lc, steps, d)
+        r = [_pmul(f, c, d) for c in r]
+    return r
 
 
-def uv_prs(F: UV, G: UV) -> tuple[str, object]:
-    """Primitive-PRS elimination of u.
+def _ztrim(f: list) -> list:
+    while f and not f[-1]:
+        f.pop()
+    return f
 
-    Returns ("gcd", H) when F, G share a factor of positive u-degree (H the
-    primitive common part), else ("res", R, drops) where R is a v-polynomial
-    vanishing at the v-coordinate of every common solution away from the
-    degree-drop loci, and drops collects the leading coefficients and stripped
-    contents along the chain.  roots(R) + roots(drops) is a safe superset of
-    the true elimination locus; the per-fiber gcd pass filters spurious roots.
-    """
-    drops: list[LaurentPoly] = []
-    A = {d: p for d, p in F.items() if not p.is_zero()}
-    B = {d: p for d, p in G.items() if not p.is_zero()}
-    for P in (A, B):
-        cont = uv_content(P)
-        if not cont.is_constant():
-            drops.append(cont.monic())
-    A, B = uv_primitive(A), uv_primitive(B)
-    if uv_deg(A) < uv_deg(B):
-        A, B = B, A
-    for P in (A, B):
-        if uv_deg(P) >= 0 and not uv_lc(P).is_constant():
-            drops.append(uv_lc(P).monic())
-    while True:
-        if uv_is_zero(B):
-            return ("gcd", A) if uv_deg(A) > 0 else ("res", LaurentPoly.zero(), drops)
-        if uv_deg(B) == 0:
-            return ("res", B[0], drops)
-        R = uv_prem(A, B)
-        if uv_deg(R) == 0:
-            return ("res", R[0], drops)
-        cont = uv_content(R)
-        if not cont.is_constant():
-            drops.append(cont.monic())
-        R = uv_primitive(R)
-        A, B = B, R
-        if not uv_is_zero(B) and uv_deg(B) > 0 and not uv_lc(B).is_constant():
-            drops.append(uv_lc(B).monic())
+
+def _zadd(f: list, g: list) -> list:
+    if len(f) < len(g):
+        f, g = g, f
+    out = list(f)
+    for i, c in enumerate(g):
+        out[i] += c
+    return _ztrim(out)
+
+
+def _zneg(f: list) -> list:
+    return [-c for c in f]
+
+
+def _zmul(f: list, g: list) -> list:
+    if not f or not g:
+        return []
+    return int_convolve(f, g, len(f) + len(g) - 1)
+
+
+def _zdivexact(f: list, g: list) -> list:
+    """The quotient f / g in Z[v]; NotDivisible when it is not exact there."""
+    f = list(f)
+    dg, lc = len(g) - 1, g[-1]
+    q = [0] * max(0, len(f) - dg)
+    for k in range(len(f) - 1, dg - 1, -1):
+        c, rem = divmod(f[k], lc)
+        if rem:
+            raise NotDivisible("inexact division in Z[v]")
+        q[k - dg] = c
+        if c:
+            for i in range(dg):
+                f[k - dg + i] -= c * g[i]
+    if any(f[:dg]):
+        raise NotDivisible("inexact division in Z[v]")
+    return q
+
+
+def _psub(x: tuple, y: tuple) -> tuple:
+    return _zadd(x[0], _zneg(y[0])), _zadd(x[1], _zneg(y[1]))
+
+
+def _pmul(x: tuple, y: tuple, d: int) -> tuple:
+    (a, b), (c, e) = x, y
+    if not b and not e:
+        return _zmul(a, c), []
+    return _zadd(_zmul(a, c), [d * t for t in _zmul(b, e)]), _zadd(_zmul(a, e), _zmul(b, c))
+
+
+def _ppow(x: tuple, k: int, d: int) -> tuple:
+    out = ([1], [])
+    for _ in range(k):
+        out = _pmul(out, x, d)
+    return out
+
+
+def _pdivexact(x: tuple, y: tuple, d: int) -> tuple:
+    """x / y in Z[sqrt d][v], through the norm y * conj(y) when y has a surd part."""
+    if y[1]:
+        x = _pmul(x, (y[0], _zneg(y[1])), d)
+        y = (_zadd(_zmul(y[0], y[0]), [-d * t for t in _zmul(y[1], y[1])]), [])
+    return _zdivexact(x[0], y[0]), (_zdivexact(x[1], y[0]) if x[1] else [])
 
 
 def uv_eval_diag(F: UV) -> LaurentPoly:

@@ -1,10 +1,14 @@
 """Global certification: delta_max, balance ledger, exact injectivity, audits.
 
 Injectivity is decided symbolically from the symmetric double-point system
-D~(u, v) = E~(u, v) = 0 (u = t + t', v = t t'): eliminate u by a primitive
-subresultant PRS, then run a dynamic-evaluation gcd over each branch of the
-squarefree eliminant and test whether every fiber solution sits on the
-diagonal u^2 = 4v.  A span-reducing preprocessing multiplies or divides one
+D~(u, v) = E~(u, v) = 0 (u = t + t', v = t t'): the subresultant chain of D~
+and E~ in u eliminates u, and the squarefree, v-free part M of its last
+element vanishes at every v-coordinate of a double point.  Over each branch
+of Q[v]/(M) the fiber gcd in u is read off the same chain: every
+zero-divisor decision of the Euclidean gcd over Q[v]/(M) is one gcd in Q[v]
+with a chain coefficient (dynamic evaluation, split on a zero divisor).  The
+squarefree part of the fiber gcd is then tested against the diagonal
+u^2 = 4v.  A span-reducing preprocessing multiplies or divides one
 component by the other when the latter has a single C*-root; such moves
 preserve the off-diagonal double-point set exactly, which keeps the eliminant
 small for the recursive catalog families.
@@ -43,7 +47,7 @@ from .local import (
     singular_parameters,
     tangency_delta,
 )
-from .rings import BranchState, SCALARS, dense_divexact, explore_branches, quotient_gcd
+from .rings import BranchState, SCALARS, SplitEvent, dense_divexact, explore_branches, quotient_gcd
 from .scalars import Scalar
 from .series import TS
 
@@ -275,35 +279,109 @@ def _reduce_for_certificate(curve: ParametricCurve):
     return ParametricCurve(phi, psi), moves
 
 
-def _fiber_check(D: UV, E: UV, modulus: LaurentPoly) -> list:
+def _fiber_check(D: UV, E: UV, modulus: LaurentPoly, prs: list) -> list:
     """Decide diagonality of the fiber solutions over each branch of `modulus`.
 
-    Returns a list of per-branch results: (None for all-diagonal/empty, or a
-    Witness for an off-diagonal component).
+    `prs` is ``uv_prs(D, E)``.  Returns a list of per-branch results: (None
+    for all-diagonal/empty, or a Witness for an off-diagonal component).
     """
     mod_dense = to_dense(modulus)
+    chains = {(uv_deg(D), uv_deg(E)): prs}
 
     def fn(st: BranchState):
         K = st.quotient(SCALARS, "wv", mod_dense)
-        v = K.gen()
-        Du = _uv_to_upoly(D, K, v)
-        Eu = _uv_to_upoly(E, K, v)
-        g = quotient_gcd(K, Du, Eu)
+        m = from_dense(st.modulus("wv", mod_dense))
+        g = _fiber_gcd(K, m, D, E, chains)
         if len(g) <= 1:
             return None  # no genuine common solution above this branch
         gp = [K.mul(c, K.from_scalar(Scalar(i + 1))) for i, c in enumerate(g[1:])]
         gsf = quotient_gcd(K, g, gp)
         gsf = dense_divexact(K, g, gsf)
         # saturate the squarefree fiber gcd by the diagonal u^2 = 4v
-        diag = [K.neg(K.mul(K.from_scalar(Scalar(4)), v)), K.zero(), K.one()]
+        diag = [K.neg(K.mul(K.from_scalar(Scalar(4)), K.gen())), K.zero(), K.one()]
         h = quotient_gcd(K, gsf, diag)
         if len(h) > 1:
             gsf = dense_divexact(K, gsf, h)
         if len(gsf) <= 1:
             return None  # every fiber solution was diagonal
-        return Witness(from_dense(st.modulus("wv", mod_dense)), gsf, _upoly_repr(K, gsf))
+        return Witness(m, gsf, _upoly_repr(K, gsf))
 
     return explore_branches(fn)
+
+
+def _fiber_gcd(K, m: LaurentPoly, D: UV, E: UV, chains: dict) -> list:
+    """The monic gcd of D and E in u over K = Q[v]/(m), as Euclid finds it.
+
+    Makes the zero-divisor decisions of the Euclidean gcd over K in its
+    order: lc(E), then lc(D) when D has the lower degree on this branch, then
+    the leading coefficient of each next remainder.  On the branch that
+    remainder is, root by root of m, a nonzero multiple of the element of the
+    subresultant chain that follows the current divisor, so each decision is
+    one gcd with m in Q[v] (:func:`_lead_degree`).  When an element loses
+    degree modulo m the chain is restarted from the current divisor and the
+    trimmed element.  ``chains`` caches the chains across branches, keyed by
+    the trimmed degrees of D and E and then by each restart.
+    """
+    a, b = _lead_degree(m, D, decide=False), _lead_degree(m, E)
+    if a < 0 or b < 0:
+        # one of them vanishes on this branch: the gcd is the other, made monic
+        if b < 0 and a >= 0:
+            _lead_degree(m, D)
+        return _monic_upoly(K, D if b < 0 else E, max(a, b))
+    key = (a, b)
+    if key not in chains:
+        chains[key] = uv_prs(_uv_trunc(D, a), _uv_trunc(E, b))
+    prs = chains[key]
+    if a < b:
+        _lead_degree(m, D)
+    k = 1
+    while k + 1 < len(prs):
+        S = prs[k + 1]
+        n = _lead_degree(m, S)
+        if n < 0:
+            break
+        if n < uv_deg(S):
+            key = (key, k, n)
+            if key not in chains:
+                chains[key] = uv_prs(prs[k], _uv_trunc(S, n))
+            prs, k = chains[key], 1
+        else:
+            k += 1
+    return _monic_upoly(K, prs[k], uv_deg(prs[k]))
+
+
+def _lead_degree(m: LaurentPoly, F: UV, decide: bool = True) -> int:
+    """The u-degree of F modulo m; with `decide`, also decide its lc.
+
+    A coefficient that m divides is dropped.  The leading one left is a unit
+    modulo m, or it splits m: SplitEvent("wv", gcd, m / gcd), as
+    :meth:`Quotient.inv` splits on it.
+    """
+    for k in range(uv_deg(F), -1, -1):
+        c = F.get(k)
+        if c is None or c.is_zero():
+            continue
+        g = poly_gcd(m, c)
+        if g.top() == m.top():
+            continue
+        if decide and not g.is_constant():
+            raise SplitEvent("wv", tuple(to_dense(g)), tuple(to_dense(m.divexact(g))))
+        return k
+    return -1
+
+
+def _monic_upoly(K, F: UV, n: int) -> list:
+    """F up to u-degree n as a dense polynomial over K, made monic ([] if n < 0)."""
+    if n < 0:
+        return []
+    v = K.gen()
+    cs = [poly_eval_ring(F.get(k, LaurentPoly.zero()), K, v) for k in range(n + 1)]
+    inv = K.inv(cs[-1])
+    return [K.mul(c, inv) for c in cs]
+
+
+def _uv_trunc(F: UV, n: int) -> UV:
+    return {k: p for k, p in F.items() if k <= n}
 
 
 def _upoly_repr(K, g: list) -> str:
@@ -314,11 +392,6 @@ def _upoly_repr(K, g: list) -> str:
         term = "1" if i == 0 else "u" if i == 1 else f"u^{i}"
         parts.append(f"({K.to_repr(c)})*{term}" if i else K.to_repr(c))
     return " + ".join(parts) if parts else "0"
-
-
-def _uv_to_upoly(F: UV, K, v) -> list:
-    """F(u, v) as a dense polynomial in u over K, v an element of K."""
-    return [poly_eval_ring(F.get(d, LaurentPoly.zero()), K, v) for d in range(uv_deg(F) + 1)]
 
 
 def _uv_divexact(F: UV, G: UV) -> UV | None:
@@ -366,12 +439,14 @@ def injectivity_certificate(curve: ParametricCurve) -> InjectivityCertificate:
             w = Witness(gc, [], "all u (common vertical component)")
             return InjectivityCertificate("SelfIntersection", [w], moves)
 
-    kind, *rest = uv_prs(D, E)
-    if kind == "gcd":
-        H = rest[0]
-        # strip (u^2 - 4v) powers and v powers; anything left is off-diagonal
+    prs = uv_prs(D, E)
+    last = prs[-1]
+    if uv_deg(last) > 0:
+        # a common factor of positive u-degree; strip (u^2 - 4v) powers and
+        # v powers from its primitive part, and anything left is off-diagonal
+        cont = uv_content(last)
+        G = {d: p.divexact(cont) for d, p in last.items()}
         diag: UV = {2: LaurentPoly.const(1), 0: LaurentPoly({1: Scalar(-4)})}
-        G = H
         while True:
             Gn = _uv_divexact(G, diag)
             if Gn is None:
@@ -386,21 +461,12 @@ def injectivity_certificate(curve: ParametricCurve) -> InjectivityCertificate:
             return InjectivityCertificate("SelfIntersection", [w], moves)
         return InjectivityCertificate("Injective", [], moves)
 
-    R, drops = rest
-    loci = []
-    if not R.is_zero():
-        loci.append(R)
-    loci.extend(drops)
-    M = LaurentPoly.const(1)
-    for f in loci:
-        f = f.shift(-f.bot())
-        if f.is_constant():
-            continue
-        M = M * squarefree_part(f)
-    if M.is_constant():
+    # every root of Res_u(D, E) is a root of the last element; v = 0 is no pair
+    R = last[0].shift(-last[0].bot())
+    if R.is_constant():
         return InjectivityCertificate("Injective", [], moves)
-    M = squarefree_part(M)
-    witnesses = [w for w in _fiber_check(D, E, M) if w is not None]
+    M = squarefree_part(R)
+    witnesses = [w for w in _fiber_check(D, E, M, prs) if w is not None]
     if witnesses:
         for w in witnesses:
             w.point = _witness_point(reduced, w)

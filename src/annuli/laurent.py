@@ -401,25 +401,6 @@ def resultant(f: LaurentPoly, g: LaurentPoly) -> Scalar:
     return res
 
 
-def content_and_primitive(f: LaurentPoly) -> tuple[Scalar, LaurentPoly]:
-    """Rational content (positive leading convention) and the primitive part.
-
-    Over Q(sqrt d) "content" is taken as the rational gcd of all numerators of
-    both components over the lcm of denominators; enough to tame growth.
-    """
-    if f.is_zero():
-        return ONE, f
-    num_g = 0
-    den_l = 1
-    for c in f.coeffs.values():
-        for q in (c.a, c.b):
-            if q != 0:
-                num_g = int_gcd(num_g, abs(q.numerator))
-                den_l = den_l * q.denominator // int_gcd(den_l, q.denominator)
-    cont = Scalar(QQ(int(num_g), int(den_l)))
-    return cont, f * cont.inv()
-
-
 def make_poly(*coeffs) -> LaurentPoly:
     """Convenience: make_poly(c0, c1, ...) = c0 + c1 t + ..."""
     return LaurentPoly({i: Scalar.of(c) for i, c in enumerate(coeffs)})

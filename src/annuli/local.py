@@ -282,20 +282,18 @@ def analyze_point(
 def field_linear_split(f: LaurentPoly) -> list[LaurentPoly]:
     """Split off monic linear factors with roots in the coefficient field.
 
-    Candidates come from the rational roots of f * conj(f) (a rational
-    polynomial); what remains is analyzed as one dynamic-evaluation block.
+    Candidates are the rational roots allowed by the primitive integer form
+    of f over Q, and of the norm f * conj(f) (a rational polynomial) over
+    Q(sqrt d); what remains is analyzed as one dynamic-evaluation block.
     """
     f = f.monic()
     pieces: list[LaurentPoly] = []
-    # rational-coefficient norm polynomial
-    conj = LaurentPoly({e: c.conj() for e, c in f.coeffs.items()})
-    N = f * conj
-    num_lcm = 1
-    for c in N.coeffs.values():
-        num_lcm = num_lcm * int(c.a.denominator) // gcd(num_lcm, int(c.a.denominator))
-    Ni = {e: int((c.a * num_lcm)) for e, c in N.coeffs.items()}
-    lead = Ni[max(Ni)]
-    const = Ni.get(0, 0)
+    N = f if f.field_tag() == 1 else f * LaurentPoly({e: c.conj() for e, c in f.coeffs.items()})
+    den = lcm(*(int(c.a.denominator) for c in N.coeffs.values()))
+    Ni = {e: int(c.a * den) for e, c in N.coeffs.items()}
+    content = gcd(*Ni.values())
+    lead = Ni[max(Ni)] // content
+    const = Ni.get(0, 0) // content
     cands: set = set()
     if const != 0:
         for pdiv in _divisors(abs(const)):

@@ -121,13 +121,13 @@ class ScalarField:
         fa, fb, fden = _cleared(f, d != 1)
         ga, gb, gden = _cleared(g, d != 1)
         den = fden * gden
-        ac = _int_convolve(fa, ga, n)
+        ac = int_convolve(fa, ga, n)
         # a zero coefficient is the shared ZERO, not a fresh object: series are
         # sparse and many products are kept
         if d == 1:
             return [rational_scalar(QQ(c, den)) if c else ZERO for c in ac]
-        bd = _int_convolve(fb, gb, n)
-        mid = _int_convolve([x + y for x, y in zip(fa, fb)], [x + y for x, y in zip(ga, gb)], n)
+        bd = int_convolve(fb, gb, n)
+        mid = int_convolve([x + y for x, y in zip(fa, fb)], [x + y for x, y in zip(ga, gb)], n)
         out = []
         for p, q, m in zip(ac, bd, mid):
             a, b = p + d * q, m - p - q
@@ -143,7 +143,7 @@ def _cleared(xs: list, surd: bool) -> tuple:
     return nums[: len(xs)], nums[len(xs):] if surd else None, den
 
 
-def _int_convolve(f: list, g: list, n: int) -> list:
+def int_convolve(f: list, g: list, n: int) -> list:
     """The first n coefficients of the product of integer lists f and g."""
     lf, lg = len(f), len(g)
     gr = g[::-1]

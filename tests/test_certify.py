@@ -1,8 +1,13 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from annuli.bipoly import double_point_system, uv_eval_diag
+import annuli
+from annuli.bipoly import double_point_system, poly_eval_ring, uv_deg, uv_eval_diag, uv_prs
 from annuli.catalog import gen_series, series_id
 from annuli.certify import (
     BoundTooSmall,
@@ -15,11 +20,12 @@ from annuli.certify import (
     ph_ledger,
     regularity_check,
     verify_witness,
+    _fiber_gcd,
 )
 from annuli.curves import ParametricCurve, apply_automorphism, classify_type, exponent_profile
-from annuli.laurent import LaurentPoly, poly_gcd, squarefree_part
+from annuli.laurent import LaurentPoly, from_dense, poly_gcd, resultant, squarefree_part, to_dense
 from annuli.local import milnor_from_pairs, scan_chain, singular_parameters
-from annuli.rings import SCALARS
+from annuli.rings import SCALARS, BranchState, explore_branches, quotient_gcd
 from annuli.scalars import Scalar
 from annuli.series import TS
 
@@ -77,6 +83,160 @@ def test_binomial_pair_with_spans_7_and_8_self_intersects():
     assert cert.witnesses
     for w in cert.witnesses:
         assert verify_witness(c, w)
+
+
+def test_random_laurent_curve_self_intersects_with_verified_witnesses():
+    # x = t + t^-4 - 2t^-5, y = 3t^5 + 2t^3 + t^2 + 2t^-4: its fiber gcds once
+    # took seconds in the Euclidean loop over Q[v]/(M)
+    c = ParametricCurve(LaurentPoly({1: 1, -4: 1, -5: -2}), LaurentPoly({5: 3, 3: 2, 2: 1, -4: 2}))
+    cert = injectivity_certificate(c)
+    assert cert.verdict == "SelfIntersection"
+    assert cert.witnesses
+    for w in cert.witnesses:
+        assert verify_witness(c, w)
+        assert w.point is not None
+
+
+def test_inexact_diagonal_quotient_raises_under_optimize():
+    # t is not antisymmetric, so (t - t') does not divide it; the check must
+    # survive python -O
+    code = (
+        "from annuli.bipoly import _tt_div_diag\n"
+        "from annuli.rings import NotDivisible\n"
+        "from annuli.scalars import Scalar\n"
+        "try:\n"
+        "    _tt_div_diag({(1, 0): Scalar(1)})\n"
+        "except NotDivisible:\n"
+        "    print('raised')\n"
+    )
+    src = os.path.dirname(os.path.dirname(annuli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "raised"
+
+
+# -- the fiber gcd from the subresultant chain against Euclid over Q[v]/(m) ----
+
+ROOTS = (-2, -1, 0, 1, 2, 3)
+QUADRATICS = ((-2, 0, 1), (1, 0, 1), (1, 1, 1), (-3, 0, 1))
+
+
+def _v_lin(r):
+    return LaurentPoly({1: 1, 0: -r})
+
+
+def _uv_mul(F, G):
+    out = {}
+    for i, p in F.items():
+        for j, q in G.items():
+            out[i + j] = out.get(i + j, LaurentPoly.zero()) + p * q
+    return {k: p for k, p in out.items() if not p.is_zero()}
+
+
+def _uv_add(F, G):
+    out = dict(F)
+    for k, p in G.items():
+        out[k] = out.get(k, LaurentPoly.zero()) + p
+    return {k: p for k, p in out.items() if not p.is_zero()}
+
+
+@st.composite
+def fiber_cases(draw):
+    """(D, E, modulus, v0) over Q or Q(sqrt 2).  The modulus has at least one
+    linear factor v - v0; leading coefficients often vanish at its roots, and
+    D and E often share a solution above v0 or have a remainder whose leading
+    coefficient vanishes there, so that decisions split, trim and restart the
+    chain."""
+    d = draw(st.sampled_from([1, 2]))
+    lin_roots = sorted(draw(st.sets(st.sampled_from(ROOTS), min_size=1, max_size=3)))
+    v0 = draw(st.sampled_from(lin_roots))
+
+    def coef():
+        a, b = draw(st.integers(-3, 3)), draw(st.integers(-2, 2)) if d == 2 else 0
+        return Scalar(a, b, d) if b else Scalar(a)
+
+    def vpoly():
+        p = LaurentPoly({e: coef() for e in range(draw(st.integers(0, 2)) + 1)})
+        for r in draw(st.lists(st.sampled_from(ROOTS), max_size=2)):
+            p = p * _v_lin(r)
+        return p
+
+    def uvpoly(max_deg, min_deg=0, lc_root=True):
+        top = draw(st.integers(min_deg, max_deg))
+        F = {k: p for k in range(top) if not (p := vpoly()).is_zero()}
+        F[top] = vpoly()
+        if F[top].is_zero():
+            F[top] = LaurentPoly.const(1)
+        if lc_root and draw(st.booleans()):
+            F[top] = F[top] * _v_lin(draw(st.sampled_from(lin_roots)))
+        return F
+
+    shape = draw(st.sampled_from(["random", "lower", "common", "defective"]))
+    if shape == "random":
+        D, E = uvpoly(3), uvpoly(3)
+    elif shape == "lower":
+        # D has the lower degree and lc(D) vanishes at v0: Euclid decides it
+        E = uvpoly(3, 2)
+        D = uvpoly(uv_deg(E) - 1, 1, lc_root=False)
+        D[uv_deg(D)] = D[uv_deg(D)] * _v_lin(v0)
+    elif shape == "common":
+        u0 = draw(st.integers(-2, 2))
+        lin_u, lin_v = {1: LaurentPoly.const(1), 0: LaurentPoly.const(-u0)}, {0: _v_lin(v0)}
+        D = _uv_add(_uv_mul(uvpoly(2), lin_u), _uv_mul(uvpoly(2), lin_v))
+        E = _uv_add(_uv_mul(uvpoly(2), lin_u), _uv_mul(uvpoly(2), lin_v))
+    else:
+        # D = E Q + R with the top one or two coefficients of R vanishing at
+        # v0: the chain element after E loses degree modulo v - v0, and past
+        # the next element when two vanish
+        E = uvpoly(4, 3, lc_root=False)
+        R = uvpoly(uv_deg(E) - 1, 2, lc_root=False)
+        for k in range(uv_deg(R), uv_deg(R) - draw(st.integers(1, 2)), -1):
+            R[k] = R.get(k, LaurentPoly.const(1)) * _v_lin(v0)
+        D = _uv_add(_uv_mul(E, uvpoly(1)), R)
+        if draw(st.booleans()):
+            D, E = E, D
+    m = LaurentPoly.const(1)
+    for r in lin_roots:
+        m = m * _v_lin(r)
+    for q in draw(st.lists(st.sampled_from(QUADRATICS), max_size=2, unique=True)):
+        m = m * LaurentPoly(dict(enumerate(q)))
+    return D, E, squarefree_part(m), v0
+
+
+def _euclid_fiber_gcd(st_, D, E, mod):
+    K = st_.quotient(SCALARS, "wv", mod)
+    v = K.gen()
+    Du = [poly_eval_ring(D.get(k, LaurentPoly.zero()), K, v) for k in range(uv_deg(D) + 1)]
+    Eu = [poly_eval_ring(E.get(k, LaurentPoly.zero()), K, v) for k in range(uv_deg(E) + 1)]
+    return tuple(st_.modulus("wv", mod)), quotient_gcd(K, Du, Eu)
+
+
+@given(fiber_cases())
+@settings(max_examples=300, deadline=None)
+def test_fiber_gcd_makes_euclids_decisions(case):
+    D, E, m, v0 = case
+    mod = to_dense(m)
+    chains = {}
+
+    def walk(st_: BranchState):
+        K = st_.quotient(SCALARS, "wv", mod)
+        return tuple(st_.modulus("wv", mod)), _fiber_gcd(K, from_dense(st_.modulus("wv", mod)), D, E, chains)
+
+    assert explore_branches(walk) == explore_branches(lambda st_: _euclid_fiber_gcd(st_, D, E, mod))
+    # every rational root of the specialized resultant is a root of the chain's
+    # last element, where both leading coefficients stay nonzero
+    if uv_deg(D) < 0 or uv_deg(E) < 0:
+        return
+    last = uv_prs(D, E)[-1]
+    if uv_deg(last) > 0:
+        return
+    for r in set(ROOTS) | {v0}:
+        Dr = LaurentPoly({k: p.eval(Scalar(r)) for k, p in D.items()})
+        Er = LaurentPoly({k: p.eval(Scalar(r)) for k, p in E.items()})
+        if D[uv_deg(D)].eval(Scalar(r)).is_zero() or E[uv_deg(E)].eval(Scalar(r)).is_zero():
+            continue
+        if resultant(Dr, Er).is_zero():
+            assert last[0].eval(Scalar(r)).is_zero(), r
 
 
 def test_witness_transforms_with_automorphisms():

@@ -257,3 +257,10 @@ def test_field_linear_split_divides_out_rational_roots():
     for p in pieces:
         prod = prod * p
     assert prod == f.monic()
+
+
+def test_field_linear_split_takes_candidates_from_the_factor_itself():
+    """Over Q the candidates divide f's own constant, not its norm's (f^2)."""
+    c = LaurentPoly.const
+    f = (t(1) - c(2)) * (t(2) - c(100000000003))
+    assert field_linear_split(f) == [t(1) - c(2), t(2) - c(100000000003)]
