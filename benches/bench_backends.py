@@ -91,6 +91,13 @@ WORKLOAD = textwrap.dedent(
         f.mul(g)
     out["series_mul_quotient"] = round(time.time() - t0, 3)
 
+    # Miller's recurrence for (1 + h)^(1/n), as the branch expansion runs it
+    u = TS(R, 0, [R.one()] + [elem(i) for i in range(1, 32)])
+    t0 = time.time()
+    for n in (3, -3):
+        u.nth_root_monic(n)
+    out["series_root_quotient"] = round(time.time() - t0, 3)
+
     # poly_gcd over Q(sqrt 2): the Euclidean loop of the dense kernel, 30 pairs
     # of degrees 17 and 14-15 with a common factor of degree 3
     def surd_poly(deg, k):

@@ -1,12 +1,14 @@
 """Bivariate support for the double-point system.
 
-The off-diagonal double-point equations of a curve (phi, psi) are formed as
-D(t, t') = num(phi(t) - phi(t')) / (t - t') and the analogous E; both are
-symmetric and get rewritten in u = t + t', v = t t'.  This module holds the
-(t, t') -> (u, v) rewriting and the subresultant PRS in u over Q(sqrt d)[v]
-(:func:`uv_prs`), which runs on Python integers: one common denominator is
-cleared per input, and a coefficient in Z[sqrt d][v] is a pair of integer
-lists.
+The off-diagonal double-point equations of a curve (phi, psi) are
+D(t, t') = num(phi(t) - phi(t')) / (t - t') and the analogous E, symmetric
+polynomials written in u = t + t', v = t t'.  Each is built term by term in
+closed form: (t^k - t'^k) / (t - t') is the complete homogeneous polynomial
+h_{k-1} = sum_j (-1)^j C(k-1-j, j) u^(k-1-2j) v^j (Macdonald, Symmetric
+Functions and Hall Polynomials, ch. I), so nothing is divided.  This module
+also holds the subresultant PRS in u over Q(sqrt d)[v] (:func:`uv_prs`), which
+runs on Python integers: one common denominator is cleared per input, and a
+coefficient in Z[sqrt d][v] is a pair of integer lists.
 
 A UV polynomial is a dict {u_degree: v_polynomial} with LaurentPoly values of
 nonnegative support.
@@ -15,101 +17,45 @@ nonnegative support.
 from __future__ import annotations
 
 from itertools import chain
-from math import lcm
+from math import comb, lcm
 
 from ._ratio import QQ
 from .laurent import LaurentPoly, poly_gcd
-from .rings import NotDivisible, int_convolve
+from .rings import int_convolve, int_divexact
 from .scalars import Scalar, ZERO
 
 UV = dict  # {int: LaurentPoly in v}
 
 
 # ---------------------------------------------------------------------------
-# (t, t') machinery
+# the double-point system in closed form
 # ---------------------------------------------------------------------------
 
 
-def _tt_from_component(f: LaurentPoly) -> dict[tuple[int, int], Scalar]:
-    """num(f(t) - f(t')) as a (t, t') polynomial dict: A(t) t'^a - A(t') t^a."""
+def _difference_quotient(f: LaurentPoly) -> UV:
+    """num(f(t) - f(t')) / (t - t') in u = t + t', v = t t'.
+
+    With f = sum c_e t^e and a = max(0, -bot f), (t t')^a (t^e - t'^e) / (t - t')
+    is v^a h_{e-1} for e > 0 and -v^(a+e) h_{-e-1} for e < 0, where
+    h_m = (t^(m+1) - t'^(m+1)) / (t - t') = sum_j (-1)^j C(m-j, j) u^(m-2j) v^j
+    is the complete homogeneous polynomial of degree m in t, t'.
+    """
     a = max(0, -f.bot())
-    A = f.shift(a)
-    out: dict[tuple[int, int], Scalar] = {}
-    for e, c in A.coeffs.items():
-        k = (e, a)
-        out[k] = out.get(k, ZERO) + c
-        k2 = (a, e)
-        out[k2] = out.get(k2, ZERO) - c
-    return {k: c for k, c in out.items() if not c.is_zero()}
-
-
-def _tt_div_diag(P: dict[tuple[int, int], Scalar]) -> dict[tuple[int, int], Scalar]:
-    """Exact quotient of an antisymmetric (t, t') polynomial by (t - t')."""
-    # view P as polynomial in t with t'-poly coefficients; synthetic division by (t - t')
-    by_t: dict[int, dict[int, Scalar]] = {}
-    for (i, j), c in P.items():
-        by_t.setdefault(i, {})[j] = c
-    if not by_t:
-        return {}
-    deg = max(by_t)
-    out: dict[tuple[int, int], Scalar] = {}
-    carry: dict[int, Scalar] = {}  # current quotient coefficient (poly in t')
-    for i in range(deg, 0, -1):
-        row = by_t.get(i, {})
-        q: dict[int, Scalar] = dict(carry)
-        for j, c in row.items():
-            q[j] = q.get(j, ZERO) + c
-        q = {j: c for j, c in q.items() if not c.is_zero()}
-        for j, c in q.items():
-            if not c.is_zero():
-                out[(i - 1, j)] = c
-        # remainder passes down multiplied by t'
-        carry = {j + 1: c for j, c in q.items()}
-    # check the division was exact: row 0 + carry must vanish
-    row0 = dict(by_t.get(0, {}))
-    for j, c in carry.items():
-        row0[j] = row0.get(j, ZERO) + c
-    if not all(c.is_zero() for c in row0.values()):
-        raise NotDivisible("quotient by (t - t') not exact")
-    return out
-
-
-def _symmetrize(P: dict[tuple[int, int], Scalar]) -> UV:
-    """Rewrite a symmetric (t, t') polynomial in u = t + t', v = t t'."""
-    from math import comb
-
-    work = dict(P)
-    out: dict[tuple[int, int], Scalar] = {}  # (u_deg, v_deg) -> Scalar
-    while work:
-        a, b = max(work, key=lambda k: (k[0] + k[1], k[0]))
-        if a < b:
-            a, b = b, a
-        c = work.get((a, b)) or work.get((b, a))
-        # subtract c * v^b * u^(a-b)
-        m = a - b
-        for i in range(m + 1):
-            k = (b + i, b + m - i)
-            cc = c * Scalar.of(comb(m, i))
-            cur = work.get(k, ZERO) + (-cc)
-            if cur.is_zero():
-                work.pop(k, None)
-            else:
-                work[k] = cur
-        key = (m, b)
-        out[key] = out.get(key, ZERO) + c
-    uv: UV = {}
-    for (du, dv), c in out.items():
-        if c.is_zero():
+    rows: dict[int, dict[int, Scalar]] = {}
+    for e, c in f.coeffs.items():
+        if e == 0:
             continue
-        uv.setdefault(du, {})[dv] = c
-    return {du: LaurentPoly(mp) for du, mp in uv.items() if mp}
+        m, va, c = (e - 1, a, c) if e > 0 else (-e - 1, a + e, -c)
+        for j in range(m // 2 + 1):
+            row = rows.setdefault(m - 2 * j, {})
+            row[va + j] = row.get(va + j, ZERO) + c * (-1) ** j * comb(m - j, j)
+    out = {du: LaurentPoly(row) for du, row in rows.items()}
+    return {du: p for du, p in out.items() if not p.is_zero()}
 
 
 def double_point_system(phi: LaurentPoly, psi: LaurentPoly) -> tuple[UV, UV]:
     """The symmetric double-point pair (D~, E~) in (u, v)."""
-    D = _symmetrize(_tt_div_diag(_tt_from_component(phi)))
-    E = _symmetrize(_tt_div_diag(_tt_from_component(psi)))
-    return D, E
+    return _difference_quotient(phi), _difference_quotient(psi)
 
 
 # ---------------------------------------------------------------------------
@@ -258,24 +204,6 @@ def _zmul(f: list, g: list) -> list:
     return int_convolve(f, g, len(f) + len(g) - 1)
 
 
-def _zdivexact(f: list, g: list) -> list:
-    """The quotient f / g in Z[v]; NotDivisible when it is not exact there."""
-    f = list(f)
-    dg, lc = len(g) - 1, g[-1]
-    q = [0] * max(0, len(f) - dg)
-    for k in range(len(f) - 1, dg - 1, -1):
-        c, rem = divmod(f[k], lc)
-        if rem:
-            raise NotDivisible("inexact division in Z[v]")
-        q[k - dg] = c
-        if c:
-            for i in range(dg):
-                f[k - dg + i] -= c * g[i]
-    if any(f[:dg]):
-        raise NotDivisible("inexact division in Z[v]")
-    return q
-
-
 def _psub(x: tuple, y: tuple) -> tuple:
     return _zadd(x[0], _zneg(y[0])), _zadd(x[1], _zneg(y[1]))
 
@@ -299,7 +227,7 @@ def _pdivexact(x: tuple, y: tuple, d: int) -> tuple:
     if y[1]:
         x = _pmul(x, (y[0], _zneg(y[1])), d)
         y = (_zadd(_zmul(y[0], y[0]), [-d * t for t in _zmul(y[1], y[1])]), [])
-    return _zdivexact(x[0], y[0]), (_zdivexact(x[1], y[0]) if x[1] else [])
+    return int_divexact(x[0], y[0]), (int_divexact(x[1], y[0]) if x[1] else [])
 
 
 def uv_eval_diag(F: UV) -> LaurentPoly:

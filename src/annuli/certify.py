@@ -394,34 +394,6 @@ def _upoly_repr(K, g: list) -> str:
     return " + ".join(parts) if parts else "0"
 
 
-def _uv_divexact(F: UV, G: UV) -> UV | None:
-    """Exact division of UV polynomials in u (G monic-in-u style), else None."""
-    R = {d: p for d, p in F.items() if not p.is_zero()}
-    dG = uv_deg(G)
-    lcG = G[dG]
-    out: UV = {}
-    while True:
-        dR = uv_deg(R)
-        if dR < 0:
-            return out
-        if dR < dG:
-            return None
-        lcR = R[dR]
-        try:
-            c = lcR.divexact(lcG)
-        except NotDivisible:
-            return None
-        out[dR - dG] = c
-        sub = {d + dR - dG: p * c for d, p in G.items()}
-        for d, p in sub.items():
-            q = R.get(d)
-            q = -p if q is None else q - p
-            if q.is_zero():
-                R.pop(d, None)
-            else:
-                R[d] = q
-
-
 def injectivity_certificate(curve: ParametricCurve) -> InjectivityCertificate:
     """Exact decision: does the curve have an off-diagonal double point?"""
     reduced, moves = _reduce_for_certificate(curve)
@@ -442,24 +414,12 @@ def injectivity_certificate(curve: ParametricCurve) -> InjectivityCertificate:
     prs = uv_prs(D, E)
     last = prs[-1]
     if uv_deg(last) > 0:
-        # a common factor of positive u-degree; strip (u^2 - 4v) powers and
-        # v powers from its primitive part, and anything left is off-diagonal
-        cont = uv_content(last)
-        G = {d: p.divexact(cont) for d, p in last.items()}
-        diag: UV = {2: LaurentPoly.const(1), 0: LaurentPoly({1: Scalar(-4)})}
-        while True:
-            Gn = _uv_divexact(G, diag)
-            if Gn is None:
-                break
-            G = Gn
-        nontrivial = uv_deg(G) > 0 or any(
-            not p.divexact(LaurentPoly.t(p.bot())).is_constant() if not p.is_zero() else False
-            for p in G.values()
-        )
-        if nontrivial:
-            w = Witness(LaurentPoly.const(1), [], "positive-dimensional common component")
-            return InjectivityCertificate("SelfIntersection", [w], moves)
-        return InjectivityCertificate("Injective", [], moves)
+        # a common factor of positive u-degree.  Its primitive part G divides
+        # D and E and is prime to v.  It is also prime to u^2 - 4v, because
+        # D(2z, z^2) = z^(2a) phi'(z) is not zero.  So D = E = 0 on a curve of
+        # pairs (u, v) off v = 0 and off the diagonal.
+        w = Witness(LaurentPoly.const(1), [], "positive-dimensional common component")
+        return InjectivityCertificate("SelfIntersection", [w], moves)
 
     # every root of Res_u(D, E) is a root of the last element; v = 0 is no pair
     R = last[0].shift(-last[0].bot())

@@ -15,7 +15,7 @@ from math import gcd, isqrt, lcm
 
 from ._ratio import QQ, int_gcd
 # NotDivisible is re-exported: LaurentPoly.divexact raises it
-from .rings import NotDivisible, SCALARS, dense_divexact, dense_divmod, quotient_gcd  # noqa: F401
+from .rings import NotDivisible, SCALARS, dense_divexact, dense_divmod, int_divexact, quotient_gcd  # noqa: F401
 from .scalars import Scalar, ZERO, ONE
 
 
@@ -323,8 +323,12 @@ def _heuristic_gcd(a: list[int], b: list[int]) -> list[int] | None:
         if h and len(h) <= min(len(a), len(b)):
             c = gcd(*h) if h[-1] > 0 else -gcd(*h)
             h = [v // c for v in h]
-            if _divides_zz(h, a) and _divides_zz(h, b):
+            try:
+                int_divexact(a, h)
+                int_divexact(b, h)
                 return h
+            except NotDivisible:
+                pass
         # the growth used by later GCDHEU implementations: about xi^(5/4)
         xi = xi * 73794 * isqrt(isqrt(xi)) // 27011
     return None
@@ -348,20 +352,6 @@ def _xi_adic(v: int, xi: int) -> list[int]:
         out.append(r)
         v = (v - r) // xi
     return out
-
-
-def _divides_zz(h: list[int], f: list[int]) -> bool:
-    """True when h divides f in Z[t] (h with a nonzero leading coefficient)."""
-    f = list(f)
-    dh, lc = len(h) - 1, h[-1]
-    for k in range(len(f) - 1, dh - 1, -1):
-        q, r = divmod(f[k], lc)
-        if r:
-            return False
-        if q:
-            for i in range(dh):
-                f[k - dh + i] -= q * h[i]
-    return not any(f[:dh])
 
 
 def squarefree_part(f: LaurentPoly) -> LaurentPoly:

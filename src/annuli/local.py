@@ -18,11 +18,12 @@ the common exponent lattice.
 Both sides expand a branch the same way.  `_standard_form` brings the base
 coordinate x = lead tau^v0 (1 + h(tau)), of signed order v0, to the standard
 form x = sigma^v0 with sigma = tau (lead (1 + h))^(1/v0), adjoining a root g
-of g^|v0| = lead as a new tower level, and reverts sigma(tau).  When lead is
-a rational scalar with an exact rational |v0|-th root, g is that root and no
-level is adjoined.  `_compose_laurent_series` then expands the other
-coordinate in sigma: a Laurent polynomial at a place, a truncated series at a
-finite point.
+of g^|v0| = lead as a new tower level, and reverts sigma(tau).  The power
+(1 + h)^(1/v0) comes from Miller's recurrence for either sign of v0, so no
+series is inverted.  When lead is a rational scalar with an exact rational
+|v0|-th root, g is that root and no level is adjoined.
+`_compose_laurent_series` then expands the other coordinate in sigma: a
+Laurent polynomial at a place, a truncated series at a finite point.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from math import gcd, lcm
 
 from ._ratio import rat, rat_str
 from .curves import ExponentProfile, ParametricCurve, exponent_profile
-from .laurent import LaurentPoly, from_dense, poly_gcd, squarefree_part, to_dense
+from .laurent import LaurentPoly, _primitive_zz, from_dense, poly_gcd, squarefree_part, to_dense
 from .rings import BranchState, SCALARS, explore_branches
 from .scalars import Scalar, nth_root_exact
 from .series import TS, TruncationCap, laurent_at_shifted_point
@@ -282,24 +283,21 @@ def analyze_point(
 def field_linear_split(f: LaurentPoly) -> list[LaurentPoly]:
     """Split off monic linear factors with roots in the coefficient field.
 
-    Candidates are the rational roots allowed by the primitive integer form
-    of f over Q, and of the norm f * conj(f) (a rational polynomial) over
-    Q(sqrt d); what remains is analyzed as one dynamic-evaluation block.
+    A rational root of the monic f = a + b sqrt(d) is a root of its rational
+    part a, which is monic too.  The candidates are the nonzero rational
+    roots allowed by the primitive integer form of a, read from its lowest
+    nonzero and its leading coefficient (over Q, a is f).  What remains is
+    analyzed as one dynamic-evaluation block.
     """
     f = f.monic()
     pieces: list[LaurentPoly] = []
-    N = f if f.field_tag() == 1 else f * LaurentPoly({e: c.conj() for e, c in f.coeffs.items()})
-    den = lcm(*(int(c.a.denominator) for c in N.coeffs.values()))
-    Ni = {e: int(c.a * den) for e, c in N.coeffs.items()}
-    content = gcd(*Ni.values())
-    lead = Ni[max(Ni)] // content
-    const = Ni.get(0, 0) // content
+    a = _primitive_zz(to_dense(f))
+    a = a[next(i for i, c in enumerate(a) if c) :]
     cands: set = set()
-    if const != 0:
-        for pdiv in _divisors(abs(const)):
-            for qdiv in _divisors(abs(lead)):
-                cands.add(Scalar(rat(pdiv, qdiv)))
-                cands.add(Scalar(rat(-pdiv, qdiv)))
+    for pdiv in _divisors(abs(a[0])):
+        for qdiv in _divisors(abs(a[-1])):
+            cands.add(Scalar(rat(pdiv, qdiv)))
+            cands.add(Scalar(rat(-pdiv, qdiv)))
     for c in sorted(cands, key=lambda s: (s.a < 0, abs(s.a))):
         while not f.is_constant() and f.eval(c).is_zero():
             pieces.append(LaurentPoly({1: Scalar(1), 0: -c}))
@@ -483,8 +481,8 @@ def _standard_form(st: BranchState, ring, key: str, dom: TS, v0: int):
     `dom` has signed order v0 != 0 and leading coefficient lead.  R2 adjoins
     g with g^|v0| = lead at tower level `key`; when lead is a scalar with an
     exact rational root, g is that root and R2 is `ring`.  Writing dom =
-    lead tau^v0 (1 + h), sigma(tau) = tau (g^|v0| (1 + h))^(1/v0), and tau(sigma)
-    is its reversion.
+    lead tau^v0 (1 + h), sigma(tau) = tau g^(|v0|/v0) (1 + h)^(1/v0), with the
+    power from `TS.nth_root_monic(v0)`, and tau(sigma) is its reversion.
     """
     n = abs(v0)
     lead = dom.coeff(v0)
@@ -497,11 +495,8 @@ def _standard_form(st: BranchState, ring, key: str, dom: TS, v0: int):
         g = R2.gen()
         dom = dom.lift(R2)
     unit = dom.shift(-v0).scale(R2.inv(dom.coeff(v0)))  # 1 + h(tau)
-    w = unit.nth_root_monic(n)
-    if v0 < 0:
-        sigma_of_tau = w.inv().shift(1).scale(R2.inv(g))
-    else:
-        sigma_of_tau = w.shift(1).scale(g)
+    w = unit.nth_root_monic(v0)
+    sigma_of_tau = w.shift(1).scale(g if v0 > 0 else R2.inv(g))
     return R2, sigma_of_tau.reversion()
 
 

@@ -156,6 +156,24 @@ def int_convolve(f: list, g: list, n: int) -> list:
     return out
 
 
+def int_divexact(f: list, g: list) -> list:
+    """The quotient f / g of integer lists in Z[t]; NotDivisible when it is not exact there."""
+    f = list(f)
+    dg, lc = len(g) - 1, g[-1]
+    q = [0] * max(0, len(f) - dg)
+    for k in range(len(f) - 1, dg - 1, -1):
+        c, rem = divmod(f[k], lc)
+        if rem:
+            raise NotDivisible("inexact division in Z[t]")
+        q[k - dg] = c
+        if c:
+            for i in range(dg):
+                f[k - dg + i] -= c * g[i]
+    if any(f[:dg]):
+        raise NotDivisible("inexact division in Z[t]")
+    return q
+
+
 SCALARS = ScalarField()
 
 

@@ -147,53 +147,28 @@ class TS:
                 return out
             sq = sq.mul(sq)
 
-    # -- transcendental helpers (char 0) --------------------------------------------
-
-    def _derivative(self) -> "TS":
-        r = self.ring
-        cs = []
-        for i, c in enumerate(self.cs):
-            e = self.val + i
-            cs.append(r.mul(c, r.from_scalar(Scalar(QQ(e)))))
-        return TS(r, self.val - 1, cs)
-
-    def log_unit(self) -> "TS":
-        """log of a series with val 0 and leading coefficient 1."""
-        r = self.ring
-        assert self.val == 0
-        fp = self._derivative()
-        g = fp.mul(self.inv())  # g = f'/f, val >= -? ; here val >= 0 - 1
-        n = len(self.cs)
-        cs = [r.zero()] * n
-        for k in range(1, n):
-            cs[k] = r.mul(g.coeff(k - 1), r.from_scalar(Scalar(QQ(1, k))))
-        return TS(r, 0, cs)
-
-    def exp_pos(self) -> "TS":
-        """exp of a series with val >= 1, to the same window end."""
-        r = self.ring
-        prec = self.prec
-        n = prec
-        g = [r.zero()] * n
-        for i, c in enumerate(self.cs):
-            e = self.val + i
-            if 0 < e < n:
-                g[e] = c
-        out = [r.zero()] * n
-        out[0] = r.one()
-        for k in range(1, n):
-            acc = r.zero()
-            for j in range(1, k + 1):
-                if r.is_zero(g[j]):
-                    continue
-                acc = r.add(acc, r.mul(r.mul(g[j], r.from_scalar(Scalar(QQ(j)))), out[k - j]))
-            out[k] = r.mul(acc, r.from_scalar(Scalar(QQ(1, k))))
-        return TS(r, 0, out)
-
     def nth_root_monic(self, n: int) -> "TS":
-        """(1 + h)^(1/n) for a series with val 0 and leading coefficient 1."""
-        lg = self.log_unit()
-        return lg.scale(self.ring.from_scalar(Scalar(QQ(1, n)))).exp_pos()
+        """(1 + h)^(1/n) for a series 1 + h of val 0 and any integer n != 0.
+
+        J. C. P. Miller's recurrence for a power w = f^alpha of a unit series
+        (Knuth, TAOCP vol. 2, 4.7): f w' = alpha f' w gives, with f_0 = 1,
+        k w_k = sum_{j=1..k} ((alpha + 1) j - k) f_j w_{k-j}.  It is kept as
+        two running sums, of j f_j w_{k-j} and of f_j w_{k-j}.  Nothing is
+        inverted, so nothing splits.
+        """
+        r = self.ring
+        f = self.cs
+        jf = [r.mul(r.from_scalar(Scalar(j)), c) for j, c in enumerate(f)]
+        w = [r.one()] + [r.zero()] * (len(f) - 1)
+        for k in range(1, len(f)):
+            s1 = s2 = r.zero()
+            for j in range(1, k + 1):
+                if r.is_zero(f[j]):
+                    continue
+                s1 = r.add(s1, r.mul(jf[j], w[k - j]))
+                s2 = r.add(s2, r.mul(f[j], w[k - j]))
+            w[k] = r.sub(r.mul(r.from_scalar(Scalar(QQ(n + 1, n * k))), s1), s2)
+        return TS(r, 0, w)
 
     def reversion(self) -> "TS":
         """Compositional inverse of a series with val 1 and unit linear coefficient.

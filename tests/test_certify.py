@@ -1,13 +1,10 @@
-import os
 import random
-import subprocess
-import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import annuli
-from annuli.bipoly import double_point_system, poly_eval_ring, uv_deg, uv_eval_diag, uv_prs
+from annuli._ratio import QQ
+from annuli.bipoly import double_point_system, poly_eval_ring, uv_deg, uv_eval_diag, uv_eval_ring, uv_prs
 from annuli.catalog import gen_series, series_id
 from annuli.certify import (
     BoundTooSmall,
@@ -97,22 +94,34 @@ def test_random_laurent_curve_self_intersects_with_verified_witnesses():
         assert w.point is not None
 
 
-def test_inexact_diagonal_quotient_raises_under_optimize():
-    # t is not antisymmetric, so (t - t') does not divide it; the check must
-    # survive python -O
-    code = (
-        "from annuli.bipoly import _tt_div_diag\n"
-        "from annuli.rings import NotDivisible\n"
-        "from annuli.scalars import Scalar\n"
-        "try:\n"
-        "    _tt_div_diag({(1, 0): Scalar(1)})\n"
-        "except NotDivisible:\n"
-        "    print('raised')\n"
-    )
-    src = os.path.dirname(os.path.dirname(annuli.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "raised"
+def test_double_point_system_is_the_symmetric_difference_quotient():
+    """D(t + t', t t') = (t t')^a (phi(t) - phi(t')) / (t - t'), a = max(0, -bot phi)."""
+    rnd = random.Random(11)
+    for d in (1, 2):
+        for _ in range(25):
+            lo = rnd.randint(-5, 1)
+            hi = rnd.randint(max(lo, 0) + 1, 6)
+            coef = {e: Scalar(rnd.randint(-3, 3), rnd.randint(-2, 2) if d != 1 else 0, d) for e in range(lo, hi + 1)}
+            phi = LaurentPoly(coef)
+            if phi.is_constant():
+                continue
+            D, _ = double_point_system(phi, phi)
+            a = max(0, -phi.bot())
+            x = Scalar(QQ(rnd.choice((-1, 1)) * rnd.randint(1, 9), rnd.randint(1, 5)))
+            y = Scalar(QQ(rnd.choice((-1, 1)) * rnd.randint(1, 9), rnd.randint(1, 5)))
+            if x == y:
+                continue
+            want = (x * y) ** a * (phi.eval(x) - phi.eval(y)) / (x - y)
+            assert uv_eval_ring(D, SCALARS, x + y, x * y) == want
+
+
+def test_composite_curve_has_a_positive_dimensional_common_component():
+    """(h, h^2 + 3h) with h = t^2 + t + 1/t: every pair t != t' with h(t) = h(t')
+    is a double point, so the chain ends in a factor of positive u-degree."""
+    h = t(2) + t(1) + t(-1)
+    cert = injectivity_certificate(ParametricCurve(h, h * h + h * 3))
+    assert cert.verdict == "SelfIntersection"
+    assert [w.ring_repr for w in cert.witnesses] == ["positive-dimensional common component"]
 
 
 # -- the fiber gcd from the subresultant chain against Euclid over Q[v]/(m) ----

@@ -264,3 +264,14 @@ def test_field_linear_split_takes_candidates_from_the_factor_itself():
     c = LaurentPoly.const
     f = (t(1) - c(2)) * (t(2) - c(100000000003))
     assert field_linear_split(f) == [t(1) - c(2), t(2) - c(100000000003)]
+
+
+def test_field_linear_split_over_a_surd_field_takes_candidates_from_the_rational_part():
+    """Over Q(sqrt 2) the candidates divide the rational part's constant, not
+    the norm's, and a rational root is found when that constant is zero."""
+    c, r2 = LaurentPoly.const, Scalar(0, 1, 2)
+    f = (t(1) - c(2)) * (t(2) + LaurentPoly({1: r2}) - c(100000000003))
+    assert field_linear_split(f) == [t(1) - c(2), t(2) + LaurentPoly({1: r2}) - c(100000000003)]
+    # (t - 2)(t + sqrt 2) has rational part t^2 - 2t, whose constant is zero
+    g = (t(1) - c(2)) * (t(1) + LaurentPoly({0: r2}))
+    assert field_linear_split(g) == [t(1) - c(2), t(1) + LaurentPoly({0: r2})]

@@ -27,6 +27,31 @@ def test_nth_root_monic():
     assert c.coeff(1) == Scalar(1) and c.coeff(2).is_zero()
 
 
+def test_nth_root_monic_negative_index():
+    f = ts(1, 3, 3, 1, 0, 0, 0, 0)  # (1 + t)^3
+    r = f.nth_root_monic(-3)  # (1 + t)^-1
+    assert r.prec == f.prec
+    assert [r.coeff(k) for k in range(f.prec)] == [Scalar((-1) ** k) for k in range(f.prec)]
+
+
+def test_nth_root_monic_inverse_pair_over_a_quotient_ring():
+    R = Quotient(SCALARS, [Scalar(1), Scalar(1), Scalar(1)], "q")  # s^2 + s + 1
+    rnd = random.Random(3)
+
+    def elt():
+        a, b = (Scalar(QQ(rnd.randint(-9, 9), rnd.randint(1, 4))) for _ in range(2))
+        return R.add(R.from_scalar(a), R.mul(R.from_scalar(b), R.gen()))
+
+    f = TS(R, 0, [R.one()] + [elt() for _ in range(9)])
+    for k in (2, 3):
+        one = f.nth_root_monic(k).mul(f.nth_root_monic(-k))
+        assert one.prec == f.prec
+        assert R.eq(one.coeff(0), R.one())
+        assert all(R.is_zero(one.coeff(e)) for e in range(1, f.prec))
+        back = f.nth_root_monic(k).pow_int(k)
+        assert all(R.eq(back.coeff(e), f.coeff(e)) for e in range(f.prec))
+
+
 def test_reversion_of_t_plus_t2():
     f = TS(SCALARS, 1, [Scalar(1), Scalar(1), Scalar(0), Scalar(0), Scalar(0)])
     g = f.reversion()
