@@ -26,6 +26,8 @@ WORKLOAD = textwrap.dedent(
     from annuli.laurent import LaurentPoly, make_poly, resultant, poly_gcd
     from annuli.catalog import gen_series, series_id
     from annuli.certify import ph_ledger, embedding_verdict, injectivity_certificate, oracle_delta_at_factor
+    from annuli.curves import ParametricCurve
+    from annuli.local import analyze_place
     from annuli.rings import SCALARS, Quotient
     from annuli.scalars import Scalar
     from annuli.series import TS
@@ -66,6 +68,14 @@ WORKLOAD = textwrap.dedent(
     t0 = time.time()
     oracle_delta_at_factor(c, point, bound=e.mu + e.n + 4)
     out["oracle_rational_point"] = round(time.time() - t0, 3)
+
+    # both places of a curve whose leads 3 (at t = oo, ram 5) and 5 (at t = 0,
+    # ram 4) have no rational root: the expansions stay over the scalars
+    c = ParametricCurve(*(LaurentPoly({e: Scalar(v) for e, v in f.items()}) for f in ({-4: 5, 2: 1, 5: 3}, {-6: -3, 1: 1, 7: 2})))
+    t0 = time.time()
+    for _ in range(10):
+        analyze_place(c, "inf"), analyze_place(c, "0")
+    out["place_surd"] = round(time.time() - t0, 3)
 
     # truncated series products: one integer convolution per coefficient ring
     f = TS(SCALARS, 0, [Scalar(ratio.QQ(i * i - 7, 2 * i + 3)) for i in range(64)])

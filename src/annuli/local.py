@@ -15,15 +15,18 @@ the same exponent profile.  When ps = rq the far collisions are resolved by an
 exact root-of-unity coset automaton comparing the two places' expansions on
 the common exponent lattice.
 
-Both sides expand a branch the same way.  `_standard_form` brings the base
-coordinate x = lead tau^v0 (1 + h(tau)), of signed order v0, to the standard
-form x = sigma^v0 with sigma = tau (lead (1 + h))^(1/v0), adjoining a root g
-of g^|v0| = lead as a new tower level, and reverts sigma(tau).  The power
-(1 + h)^(1/v0) comes from Miller's recurrence for either sign of v0, so no
-series is inverted.  When lead is a rational scalar with an exact rational
-|v0|-th root, g is that root and no level is adjoined.
+Both sides expand a branch the same way, over the ring the branch already
+lives in.  `_standard_form` brings the base coordinate x = lead tau^v0
+(1 + h(tau)), of signed order v0, to x = lead sigma^v0 with sigma =
+tau (1 + h)^(1/v0), and reverts sigma(tau).  The power (1 + h)^(1/v0) comes
+from Miller's recurrence for either sign of v0, so no series is inverted.
 `_compose_laurent_series` then expands the other coordinate in sigma: a
-Laurent polynomial at a place, a truncated series at a finite point.
+Laurent polynomial at a place, a truncated series at a finite point.  The
+standard form proper, x = (g sigma)^v0 with g^|v0| = lead, would multiply the
+sigma^k coefficient by the unit g^(-k sign v0): the same coefficients vanish,
+so the characteristic data need no root of lead.  Only the tangency automaton
+compares coefficient values across the two places; `_rooted_series` adjoins
+g there.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from math import gcd, lcm
 from ._ratio import rat, rat_str
 from .curves import ExponentProfile, ParametricCurve, exponent_profile
 from .laurent import LaurentPoly, _primitive_zz, from_dense, poly_gcd, squarefree_part, to_dense
-from .rings import BranchState, SCALARS, explore_branches
+from .rings import BranchState, NotDivisible, SCALARS, explore_branches
 from .scalars import Scalar, nth_root_exact
 from .series import TS, TruncationCap, laurent_at_shifted_point
 
@@ -257,10 +260,9 @@ def analyze_point(
             R = st.quotient(SCALARS, "pt", to_dense(factor))
             xs = _shifted_series(R, phi, window).normalized()
             n = xs.order()
-            R2, tau_of_sigma = _standard_form(st, R, "rt", xs, n)
-            ys = _shifted_series(R, psi, window).lift(R2)
-            y_sigma = _compose_laurent_series(ys, R2, tau_of_sigma, window)
-            chain = scan_chain(R2, y_sigma, n, 1)
+            tau_of_sigma = _standard_form(xs, n)
+            y_sigma = _compose_laurent_series(_shifted_series(R, psi, window), R, tau_of_sigma, window)
+            chain = scan_chain(R, y_sigma, n, 1)
             mod_now = st.modulus("pt", to_dense(factor))
             return PointAnalysis(
                 factor=from_dense(mod_now),
@@ -433,19 +435,12 @@ def far_term(prof: ExponentProfile, place: str) -> int:
     raise PlaceNotAtInfinity(f"other place of {place} is not at infinity")
 
 
-def place_subordinate_series(
-    curve: ParametricCurve,
-    place: str,
-    window: int,
-    st: BranchState,
-    base_ring,
-    key: str,
-    force_base: str | None = None,
-):
-    """(ring, ram, series in sigma) of the subordinate coordinate at one place.
+def place_subordinate_series(curve: ParametricCurve, place: str, window: int, force_base: str | None = None):
+    """(ram, lead, series in sigma) of the subordinate coordinate at one place.
 
-    The base coordinate (dominant one unless `force_base` overrides) equals
-    sigma^v0 exactly, v0 = -ram its signed order at the place.
+    The base coordinate (dominant one unless `force_base` overrides) has
+    signed order v0 = -ram and leading coefficient lead at the place, and
+    equals lead sigma^v0 exactly.  Everything is over the scalars.
     """
     prof = exponent_profile(curve)
     if force_base is None:
@@ -460,8 +455,8 @@ def place_subordinate_series(
     if place == "inf":
         dom = dom.compose_inv_t()
         sub = sub.compose_inv_t()
-    R2, tau_of_sigma = _standard_form(st, base_ring, key, _laurent_to_ts(base_ring, dom, window), -ram)
-    return R2, ram, _compose_laurent_series(sub, R2, tau_of_sigma, window)
+    dom_ts = _laurent_to_ts(SCALARS, dom, window)
+    return ram, dom_ts.coeff(-ram), _compose_laurent_series(sub, SCALARS, _standard_form(dom_ts, -ram), window)
 
 
 def _laurent_to_ts(ring, f: LaurentPoly, window: int) -> TS:
@@ -475,29 +470,17 @@ def _laurent_to_ts(ring, f: LaurentPoly, window: int) -> TS:
     return TS(ring, b, cs)
 
 
-def _standard_form(st: BranchState, ring, key: str, dom: TS, v0: int):
-    """(R2, tau(sigma)) such that dom(tau(sigma)) = sigma^v0 exactly.
+def _standard_form(dom: TS, v0: int) -> TS:
+    """tau(sigma) over dom's own ring, such that dom(tau(sigma)) = lead sigma^v0.
 
-    `dom` has signed order v0 != 0 and leading coefficient lead.  R2 adjoins
-    g with g^|v0| = lead at tower level `key`; when lead is a scalar with an
-    exact rational root, g is that root and R2 is `ring`.  Writing dom =
-    lead tau^v0 (1 + h), sigma(tau) = tau g^(|v0|/v0) (1 + h)^(1/v0), with the
-    power from `TS.nth_root_monic(v0)`, and tau(sigma) is its reversion.
+    `dom` = lead tau^v0 (1 + h) has signed order v0 != 0.  sigma(tau) =
+    tau (1 + h)^(1/v0), with the power from `TS.nth_root_monic(v0)`, and
+    tau(sigma) is its reversion.  Nothing is adjoined; the tangency automaton,
+    which compares coefficient values across the two places, adjoins the root
+    of lead itself (`_rooted_series`).
     """
-    n = abs(v0)
-    lead = dom.coeff(v0)
-    lead_sc = ring.as_scalar(lead)
-    root = nth_root_exact(lead_sc, n) if lead_sc is not None else None
-    if root is not None:
-        R2, g = ring, ring.from_scalar(root)
-    else:
-        R2 = st.quotient(ring, key, [ring.neg(lead)] + [ring.zero()] * (n - 1) + [ring.one()])
-        g = R2.gen()
-        dom = dom.lift(R2)
-    unit = dom.shift(-v0).scale(R2.inv(dom.coeff(v0)))  # 1 + h(tau)
-    w = unit.nth_root_monic(v0)
-    sigma_of_tau = w.shift(1).scale(g if v0 > 0 else R2.inv(g))
-    return R2, sigma_of_tau.reversion()
+    unit = dom.shift(-v0).scale(dom.ring.inv(dom.coeff(v0)))  # 1 + h(tau)
+    return unit.nth_root_monic(v0).shift(1).reversion()
 
 
 def _compose_laurent_series(f, ring, inner: TS, window: int) -> TS:
@@ -558,11 +541,8 @@ def analyze_place(curve: ParametricCurve, place: str) -> PlaceAnalysis:
     )
 
     def attempt(window: int) -> ChainData:
-        def fn(st: BranchState):
-            R2, ram_, sub_sigma = place_subordinate_series(curve, place, window, st, SCALARS, "rt")
-            return scan_chain(R2, sub_sigma, ram_, lead_exp + 1)
-
-        return explore_branches(fn)[0]
+        ram_, _, sub_sigma = place_subordinate_series(curve, place, window)
+        return scan_chain(SCALARS, sub_sigma, ram_, lead_exp + 1)
 
     # the last window is the first one beyond hard_cap
     chain = _with_window(attempt, 2 * ram + abs(lead_exp) + 10, hard_cap + 1)
@@ -758,6 +738,28 @@ def _merge_coset(ring, m: int, w, j: int, c, g: int):
     return gg, w_p
 
 
+def _rooted_series(st: BranchState, ring, key: str, lead: Scalar, v0: int, series: TS):
+    """(R2, series in sigma) for `series` in sigma' over `ring`, sigma = g^(sign v0) sigma'.
+
+    g^|v0| = lead: the exact rational root when there is one, else the
+    generator of R2 = ring[g]/(g^|v0| - lead) at tower level `key`.  The
+    sigma'^k coefficient times g^(-k sign v0) is the sigma^k coefficient.
+    """
+    root = nth_root_exact(lead, abs(v0))
+    if root is not None:
+        R2, g = ring, ring.from_scalar(root)
+    else:
+        R2 = st.quotient(ring, key, [ring.from_scalar(-lead)] + [ring.zero()] * (abs(v0) - 1) + [ring.one()])
+        g, series = R2.gen(), series.lift(R2)
+    step = g if v0 < 0 else R2.inv(g)
+    gk = _ring_pow_signed(R2, step, series.val)
+    cs = []
+    for c in series.cs:
+        cs.append(R2.mul(c, gk))
+        gk = R2.mul(gk, step)
+    return R2, TS(R2, series.val, cs)
+
+
 def tangency_delta(curve: ParametricCurve, delta2max: int, pl_inf: PlaceAnalysis | None = None, pl_0: PlaceAnalysis | None = None) -> TangencyData:
     """u, nu_tan and 2*delta_inf in the tangent case ps = rq (exact indices)."""
     prof = exponent_profile(curve)
@@ -773,28 +775,30 @@ def tangency_delta(curve: ParametricCurve, delta2max: int, pl_inf: PlaceAnalysis
     capm = _trunc_cap_multiplier()
 
     def attempt(window: int):
+        ram_i, lead_i, yA = place_subordinate_series(curve, "inf", window)
+        ram_0, lead_0, yB = place_subordinate_series(curve, "0", window)
+
         def fn(st: BranchState):
-            Ri, _, yA = place_subordinate_series(curve, "inf", window, st, SCALARS, "ri")
-            Rf, _, yB = place_subordinate_series(curve, "0", window, st, Ri, "r0")
-            yA2 = yA.lift(Rf)
-            end = min(yA2.prec * (L // p), yB.prec * (L // r))
+            Ri, yA2 = _rooted_series(st, SCALARS, "ri", lead_i, -ram_i, yA)
+            # yB must be over Ri before it is lifted into Ri's extension Rf
+            Rf, yB2 = _rooted_series(st, Ri, "r0", lead_0, -ram_0, yB.lift(Ri))
+            yA2 = yA2.lift(Rf)
+            end = min(yA2.prec * (L // p), yB2.prec * (L // r))
             # the branch at infinity collides with the r fiber points of the
             # zero place and vice versa: one automaton run per direction
-            fwd = _coset_automaton(Rf, yA2, yB, p, r, L, end)
-            rev = _coset_automaton(Rf, yB, yA2, r, p, L, end)
+            fwd = _coset_automaton(Rf, yA2, yB2, p, r, L, end)
+            rev = _coset_automaton(Rf, yB2, yA2, r, p, L, end)
             return fwd, rev
 
-        return explore_branches(fn)[0]
+        fwd, rev = explore_branches(fn)[0]
+        far_inf = sum(Fraction(cnt * pl * p, L) for pl, cnt in fwd[0])
+        far_0 = sum(Fraction(cnt * pl * r, L) for pl, cnt in rev[0])
+        if far_inf.denominator != 1 or far_0.denominator != 1:
+            raise NotDivisible(f"tangency_delta: far terms {far_inf}, {far_0} off the lattice at window {window}")
+        return fwd, int(far_inf), int(far_0)
 
     # the last window is the first one beyond capm * base_window
-    (deaths, block, lead_match), (deaths_rev, _, _) = _with_window(
-        attempt, base_window, capm * base_window + 1
-    )
-
-    far_inf_f = sum(Fraction(cnt * pl * p, L) for pl, cnt in deaths)
-    far_0_f = sum(Fraction(cnt * pl * r, L) for pl, cnt in deaths_rev)
-    assert far_inf_f.denominator == 1 and far_0_f.denominator == 1
-    far_inf, far_0 = int(far_inf_f), int(far_0_f)
+    (deaths, block, lead_match), far_inf, far_0 = _with_window(attempt, base_window, capm * base_window + 1)
     if pl_inf is None:
         pl_inf = analyze_place(curve, "inf")
     if pl_0 is None:

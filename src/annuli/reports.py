@@ -132,22 +132,10 @@ def _verify_place_notes(curve: ParametricCurve, notes: dict) -> bool | None:
     ok = True
     if "place_0_y_in_x_prefix" in notes:
         from .local import place_subordinate_series
-        from .rings import SCALARS, explore_branches
 
         want = notes["place_0_y_in_x_prefix"]
-
-        def fn(st):
-            R2, _, sub = place_subordinate_series(curve, "0", 24, st, SCALARS, "rt", force_base="x")
-            sub = sub.normalized(decide=True)
-            got = []
-            pos = sub.val
-            while len(got) < len(want) and pos < sub.prec:
-                if not R2.decide_zero(sub.coeff(pos)):
-                    got.append(pos)
-                pos += 1
-            return got
-
-        got = explore_branches(fn)[0]
+        _, _, sub = place_subordinate_series(curve, "0", 24, force_base="x")
+        got = [sub.val + i for i, c in enumerate(sub.cs) if not c.is_zero()][: len(want)]
         ok = ok and got == want
     if "lead_invariant_match" in notes:
         from .local import leading_invariants

@@ -6,10 +6,11 @@ be decided or inverted, a :class:`SplitEvent` carrying a nontrivial
 factorization of the modulus is raised and the caller re-runs the computation
 on each branch (:func:`explore_branches`).
 
-Rings form towers: a :class:`Quotient` may sit over another Quotient (used to
-adjoin roots of units for standard Puiseux forms).  Splits at any level
-propagate out with the key of the level that must be refined.  A linear
-modulus gives a :class:`LinearQuotient`, which is its base ring itself.
+Rings form towers: a :class:`Quotient` may sit over another Quotient (used by
+the tangency automaton to adjoin roots of the places' leading coefficients).
+Splits at any level propagate out with the key of the level that must be
+refined.  A linear modulus gives a :class:`LinearQuotient`, which is its base
+ring itself.
 
 This module also holds the one dense polynomial kernel of the package:
 coefficient lists (low -> high) over any of these rings, with the ring as the

@@ -2,32 +2,45 @@ import gc
 import random
 from dataclasses import replace
 from fractions import Fraction
+from math import lcm
 from types import SimpleNamespace
 
+from hypothesis import assume, example, given, settings, strategies as st
+
+from annuli import local
+from annuli._ratio import QQ
 from annuli.catalog import gen_series, series_id
 from annuli.curves import ParametricCurve, exponent_profile
-from annuli.laurent import LaurentPoly
+from annuli.laurent import LaurentPoly, from_dense, poly_gcd, to_dense
 from annuli.local import (
     analyze_place,
+    analyze_point,
     codimension_nu,
     ext_codim_point,
     field_linear_split,
     leading_invariants,
     milnor_from_exponents,
     milnor_from_pairs,
+    place_base_data,
     place_delta,
     place_index,
+    place_subordinate_series,
     scan_chain,
     singular_parameters,
     tangency_delta,
     TangentCase,
     _compose_laurent_series,
+    _coset_automaton,
+    _laurent_to_ts,
+    _place_orientation,
+    _shifted_series,
     _third_term_closed_form,
+    _trunc_cap_multiplier,
     _with_window,
 )
 from annuli.certify import delta_max
-from annuli.rings import SCALARS
-from annuli.scalars import Scalar
+from annuli.rings import SCALARS, NotDivisible, Quotient, explore_branches
+from annuli.scalars import ONE, Scalar, nth_root_exact
 from annuli.series import TS, TruncationCap
 
 import pytest
@@ -275,3 +288,236 @@ def test_field_linear_split_over_a_surd_field_takes_candidates_from_the_rational
     # (t - 2)(t + sqrt 2) has rational part t^2 - 2t, whose constant is zero
     g = (t(1) - c(2)) * (t(1) + LaurentPoly({0: r2}))
     assert field_linear_split(g) == [t(1) - c(2), t(1) + LaurentPoly({0: r2})]
+
+
+# ---------------------------------------------------------------------------
+# root-free standard form against the rooted reference
+# ---------------------------------------------------------------------------
+
+
+def _rooted_standard_form(st_, ring, key, dom, v0):
+    """The standard form dom = sigma^v0, adjoining g with g^|v0| = lead at level `key`."""
+    n = abs(v0)
+    lead = dom.coeff(v0)
+    lead_sc = ring.as_scalar(lead)
+    root = nth_root_exact(lead_sc, n) if lead_sc is not None else None
+    if root is not None:
+        R2, g = ring, ring.from_scalar(root)
+    else:
+        R2 = st_.quotient(ring, key, [ring.neg(lead)] + [ring.zero()] * (n - 1) + [ring.one()])
+        g = R2.gen()
+        dom = dom.lift(R2)
+    unit = dom.shift(-v0).scale(R2.inv(dom.coeff(v0)))
+    sigma_of_tau = unit.nth_root_monic(v0).shift(1).scale(g if v0 > 0 else R2.inv(g))
+    return R2, sigma_of_tau.reversion()
+
+
+def _rooted_place_series(curve, place, window, st_, base_ring, key, force_x=False):
+    prof = exponent_profile(curve)
+    if force_x:
+        base_is_x, ram = True, _place_orientation(prof, place)[0]
+    else:
+        base_is_x, ram, _ = place_base_data(prof, place)
+    dom, sub = (curve.phi, curve.psi) if base_is_x else (curve.psi, curve.phi)
+    if place == "inf":
+        dom, sub = dom.compose_inv_t(), sub.compose_inv_t()
+    R2, tau = _rooted_standard_form(st_, base_ring, key, _laurent_to_ts(base_ring, dom, window), -ram)
+    return R2, ram, _compose_laurent_series(sub, R2, tau, window)
+
+
+def _mass(curve):
+    prof = exponent_profile(curve)
+    return abs(prof.p) + abs(prof.q) + abs(prof.r) + abs(prof.s)
+
+
+def _rooted_point_chains(curve, factor):
+    mass = _mass(curve)
+
+    def run(window):
+        def fn(st_):
+            R = st_.quotient(SCALARS, "pt", to_dense(factor))
+            xs = _shifted_series(R, curve.phi, window).normalized()
+            n = xs.order()
+            R2, tau = _rooted_standard_form(st_, R, "rt", xs, n)
+            ys = _shifted_series(R, curve.psi, window).lift(R2)
+            chain = scan_chain(R2, _compose_laurent_series(ys, R2, tau, window), n, 1)
+            return repr(from_dense(st_.modulus("pt", to_dense(factor)))), chain
+
+        return explore_branches(fn)
+
+    return _with_window(run, min(2 * mass + 8, 32), _trunc_cap_multiplier() * (2 * mass + 8))
+
+
+def _rooted_place_chain(curve, place):
+    _, ram, kappa = place_base_data(exponent_profile(curve), place)
+
+    def attempt(window):
+        def fn(st_):
+            R2, ram_, sub = _rooted_place_series(curve, place, window, st_, SCALARS, "rt")
+            return scan_chain(R2, sub, ram_, 1 - kappa)
+
+        return explore_branches(fn)[0]
+
+    return _with_window(attempt, 2 * ram + abs(kappa) + 10, _trunc_cap_multiplier() * (_mass(curve) + 8) + 1)
+
+
+def _is_proper(curve) -> bool:
+    """gcd of the numerators of x(s) - x(t0), y(s) - y(t0) is s - t0: C(x, y) = C(t)."""
+    t0 = Scalar(QQ(3, 7))
+    nums = []
+    for f in (curve.phi, curve.psi):
+        g = f - LaurentPoly.const(f.eval(t0))
+        nums.append(g.shift(-g.bot()))
+    g = poly_gcd(*nums)
+    return g.top() - g.bot() == 1
+
+
+FIELDS = [1, 2, -3]
+
+
+@st.composite
+def _scalars(draw, d, nonzero=False):
+    a = draw(st.integers(-3, 3))
+    b = draw(st.integers(-2, 2)) if d != 1 else 0
+    assume(not nonzero or a or b)
+    return Scalar(a, b, d)
+
+
+@st.composite
+def _laurent(draw, d, bot, top):
+    coeffs = {e: draw(_scalars(d)) for e in range(bot, top + 1)}
+    coeffs[bot] = draw(_scalars(d, nonzero=True))
+    coeffs[top] = draw(_scalars(d, nonzero=True))
+    return LaurentPoly({e: c for e, c in coeffs.items() if not c.is_zero()})
+
+
+@st.composite
+def point_cases(draw):
+    """x = B Q^a + 1/t, y = C Q^b + t^-2 + t: every root of Q is a singular parameter.
+
+    The second factor Q (t - c) adds a smooth parameter c, so the leading
+    coefficient x'(s) of x(s + tau) - x(s) is a zero divisor in the "pt" ring.
+    """
+    d = draw(st.sampled_from(FIELDS))
+    Q = LaurentPoly({0: draw(_scalars(d, nonzero=True)), 1: draw(_scalars(d)), 2: Scalar(1)})
+    a, b = draw(st.integers(2, 3)), draw(st.integers(2, 4))
+    B = draw(_laurent(d, draw(st.integers(-2, 0)), draw(st.integers(0, 1))))
+    C = draw(_laurent(d, draw(st.integers(-2, 0)), draw(st.integers(0, 1))))
+    curve = ParametricCurve(B * Q**a + t(-1), C * Q**b + t(-2) + t())
+    c = Scalar(draw(st.sampled_from([-2, -1, 2, 3])))
+    assume(not Q.eval(c).is_zero())
+    return curve, [Q, Q * (t() - LaurentPoly.const(c))]
+
+
+_U2 = gen_series(series_id("u"))
+_U2 = ParametricCurve(_U2.phi * 2, _U2.psi)  # lead with no rational root at t = 1
+
+
+@given(point_cases())
+@example((_U2, [t() - LaurentPoly.const(ONE), (t() - LaurentPoly.const(ONE)) * (t() + LaurentPoly.const(ONE))]))
+@settings(max_examples=40, deadline=None)
+def test_root_free_points_match_the_rooted_standard_form(case):
+    curve, factors = case
+    for factor in factors:
+        got = [(repr(e.factor), e.chain) for e in analyze_point(curve, factor)]
+        assert got == _rooted_point_chains(curve, factor)
+
+
+@st.composite
+def place_curves(draw):
+    d = draw(st.sampled_from(FIELDS))
+    x = draw(_laurent(d, -draw(st.integers(1, 3)), draw(st.integers(1, 3))))
+    y = draw(_laurent(d, -draw(st.integers(1, 4)), draw(st.integers(1, 4))))
+    curve = ParametricCurve(x, y)
+    assume(_is_proper(curve))
+    return curve
+
+
+@given(place_curves())
+@settings(max_examples=40, deadline=None)
+def test_root_free_places_match_the_rooted_standard_form(curve):
+    for place in ("inf", "0"):
+        assert analyze_place(curve, place).chain == _rooted_place_chain(curve, place)
+    # the base forced to x at t = 0, as the catalog's place notes read it
+    _, _, sub = place_subordinate_series(curve, "0", 24, force_base="x")
+
+    def fn(st_):
+        R2, _, ref = _rooted_place_series(curve, "0", 24, st_, SCALARS, "rt", force_x=True)
+        return ref.val, [R2.decide_zero(c) for c in ref.cs]
+
+    assert explore_branches(fn) == [(sub.val, [c.is_zero() for c in sub.cs])]
+
+
+def _rooted_automata(curve):
+    """Both coset automaton runs of the tangent case over the rooted place series."""
+    prof = exponent_profile(curve)
+    p, r = prof.p, prof.r
+    L = lcm(p, r)
+    base = 2 * _mass(curve) + 12
+
+    def attempt(window):
+        def fn(st_):
+            Ri, _, yA = _rooted_place_series(curve, "inf", window, st_, SCALARS, "ri")
+            Rf, _, yB = _rooted_place_series(curve, "0", window, st_, Ri, "r0")
+            yA = yA.lift(Rf)
+            end = min(yA.prec * (L // p), yB.prec * (L // r))
+            return _coset_automaton(Rf, yA, yB, p, r, L, end), _coset_automaton(Rf, yB, yA, r, p, L, end)
+
+        return explore_branches(fn)[0]
+
+    return _with_window(attempt, base, _trunc_cap_multiplier() * base + 1)
+
+
+@st.composite
+def tangent_cases(draw):
+    """ps = rq with p, r >= 2, and leads of x at both places with no rational root.
+
+    In half the cases the leading invariants E_1^{p_1}, F_1^{p_1} agree, so
+    that the automaton compares coefficients past the leading one: with
+    p_1 = dd and q_1 = c, tc(x) = lc(x) m^dd and tc(y) = lc(y) m^c give E = F.
+    """
+    c, dd = draw(st.sampled_from([(1, 1), (2, 1), (3, 1), (1, 2), (3, 2)]))
+    i, j = (2, 2) if dd == 1 else (draw(st.integers(1, 2)), draw(st.integers(1, 2)))
+    p, q, r, s = dd * i, c * i, dd * j, c * j
+    a, lc_y = draw(st.sampled_from([3, 5, -3, -5])), draw(st.sampled_from([1, 2, -1]))
+    m = draw(st.sampled_from([1, -1, 2]))
+    if draw(st.booleans()):
+        tc_x, tc_y = a * m**dd, lc_y * m**c
+    else:
+        tc_x, tc_y = draw(st.sampled_from([2, 3, -2])), draw(st.sampled_from([1, -2]))
+    x = {p: a, -r: tc_x} | {e: draw(st.integers(-2, 2)) for e in range(-r + 1, p)}
+    y = {q: lc_y, -s: tc_y} | {e: draw(st.integers(-2, 2)) for e in range(-s + 1, q)}
+    curve = ParametricCurve(*(LaurentPoly({e: Scalar(v) for e, v in f.items() if v}) for f in (x, y)))
+    assume(_is_proper(curve))
+    return curve
+
+
+@given(tangent_cases())
+@settings(max_examples=25, deadline=None)
+def test_tangency_adjoins_both_roots_and_matches_the_rooted_reference(curve):
+    dmax = delta_max(exponent_profile(curve))
+    pl_inf, pl_0 = analyze_place(curve, "inf"), analyze_place(curve, "0")
+    rings_seen = []
+
+    def spy(ring, *args):
+        rings_seen.append(ring)
+        return _coset_automaton(ring, *args)
+
+    ref_runs = iter(_rooted_automata(curve))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(local, "_coset_automaton", spy)
+        got = tangency_delta(curve, dmax, pl_inf, pl_0)
+        # the same tail of tangency_delta over the automaton runs of the reference
+        mp.setattr(local, "_coset_automaton", lambda *args: next(ref_runs))
+        want = tangency_delta(curve, dmax, pl_inf, pl_0)
+    assert got == want
+    assert all(isinstance(R, Quotient) and isinstance(R.base, Quotient) for R in rings_seen)
+
+
+def test_off_lattice_far_collisions_raise_not_divisible(monkeypatch):
+    # p = 2, r = 1, L = 2: a death at lattice position 1 gives the zero place
+    # the far term 1/2
+    curve = ParametricCurve(t(2) + t(-1), t(4) + t() + t(-2))
+    monkeypatch.setattr(local, "_coset_automaton", lambda *args: ([(1, 1)], [], True))
+    with pytest.raises(NotDivisible, match="tangency_delta.*window"):
+        tangency_delta(curve, delta_max(exponent_profile(curve)))
