@@ -136,9 +136,9 @@ def ph_ledger(curve: ParametricCurve) -> BalanceLedger:
     d2max = delta_max(prof)
     swap = prof.q + prof.s < prof.p + prof.r
     finite = singular_parameters(curve, swap=swap)
-    from .local import tangency_mode
+    from .local import is_tangent
 
-    tangent = tangency_mode(prof) != "none"
+    tangent = is_tangent(prof)
     pl_inf = analyze_place(curve, "inf")
     pl_0 = analyze_place(curve, "0")
     tan = None

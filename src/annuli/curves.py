@@ -112,9 +112,7 @@ def row_match(pr: ExponentProfile, tag: str) -> bool:
         if pr.r1 > pr.p1:
             return False
         # min(q/p, s/r) must not be an integer
-        from fractions import Fraction
-
-        return min(Fraction(q, p), Fraction(s, r)).denominator != 1
+        return (q % p if q * r <= s * p else s % r) != 0
     if tag == MIXED:
         return 0 < q < p and 0 < r < s and p + r <= q + s
     if tag == MINUS_PLUS:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 
-from ._ratio import rat, rat_str
+from ._ratio import is_squarefree, rat, rat_str
 from .curves import ParametricCurve
 from .laurent import LaurentPoly
 from .scalars import Scalar
@@ -33,6 +33,8 @@ class ZeroCoefficient(ParseError):
 
 
 def _parse_component(entries, d: int, name: str) -> LaurentPoly:
+    if not isinstance(entries, list):
+        raise ParseError("component must be a list of terms", name)
     coeffs = {}
     prev = None
     for i, item in enumerate(entries):
@@ -40,7 +42,7 @@ def _parse_component(entries, d: int, name: str) -> LaurentPoly:
         if not (isinstance(item, list) and len(item) == 3):
             raise ParseError("each term must be [exponent, rational, surd]", loc)
         e, a_s, b_s = item
-        if not isinstance(e, int):
+        if isinstance(e, bool) or not isinstance(e, int):
             raise ParseError("exponent must be an integer", loc)
         if e in coeffs:
             raise ParseError(f"duplicate exponent {e}", loc)
@@ -68,8 +70,10 @@ def parse_curve(doc: dict) -> ParametricCurve:
         d = doc["field"]["d"]
     except (KeyError, TypeError):
         raise ParseError("missing field descriptor {'field': {'d': ...}}") from None
-    if not isinstance(d, int):
-        raise ParseError("field tag d must be an integer")
+    if isinstance(d, bool) or not isinstance(d, int):
+        raise ParseError("field tag d must be an integer", "field")
+    if not is_squarefree(d):
+        raise ParseError(f"field tag {d} is not squarefree", "field")
     for key in ("x", "y"):
         if key not in doc:
             raise ParseError(f"missing component {key!r}")
@@ -140,18 +144,23 @@ def parse_point_factor(text: str, d: int = 1) -> LaurentPoly:
         if not term:
             raise ParseError("dangling sign in polynomial")
         masked = term.replace("sqrt", "#")
-        if "t" in masked:
-            head, _, tail = masked.partition("t")
-            e = 1
-            if tail.startswith("^"):
-                e = int(tail[1:])
-            elif tail:
-                raise ParseError(f"bad term {term!r}")
-            cs = (head.rstrip("*") or "1").replace("#", "sqrt")
-        else:
-            e = 0
-            cs = term
-        c = _parse_scalar_expr(cs, d) * Scalar(sign)
+        try:
+            if "t" in masked:
+                head, _, tail = masked.partition("t")
+                e = 1
+                if tail.startswith("^"):
+                    e = int(tail[1:])
+                elif tail:
+                    raise ParseError(f"bad term {term!r}")
+                cs = (head.rstrip("*") or "1").replace("#", "sqrt")
+            else:
+                e = 0
+                cs = term
+            c = _parse_scalar_expr(cs, d) * Scalar(sign)
+        except ParseError:
+            raise
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ParseError(f"bad term {term!r}: {exc}") from None
         coeffs[e] = coeffs.get(e, Scalar(0)) + c
     return LaurentPoly(coeffs)
 

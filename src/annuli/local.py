@@ -13,7 +13,10 @@ far-fiber / vertical-asymptote term contributed by the other place, and the
 pole order; hidden double points compare this against the typical curve with
 the same exponent profile.  When ps = rq the far collisions are resolved by an
 exact root-of-unity coset automaton comparing the two places' expansions on
-the common exponent lattice.
+the common exponent lattice.  At each lattice position it reads the two
+coefficients a and b (zero off a side's lattice) and asks for a = zeta^j b on
+the alive coset of zeta: both zero keeps the coset, exactly one zero kills it,
+and both nonzero intersect it with {zeta^j = a/b}.
 
 Both sides expand a branch the same way, over the ring the branch already
 lives in.  `_standard_form` brings the base coordinate x = lead tau^v0
@@ -33,10 +36,9 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
 
-from ._ratio import rat, rat_str
+from ._ratio import rat
 from .curves import ExponentProfile, ParametricCurve, exponent_profile
 from .laurent import LaurentPoly, _primitive_zz, from_dense, poly_gcd, squarefree_part, to_dense
 from .rings import BranchState, NotDivisible, SCALARS, explore_branches
@@ -405,20 +407,16 @@ def place_base_data(prof: ExponentProfile, place: str) -> tuple[bool, int, int]:
     raise PlaceNotAtInfinity(f"place {place} is not at infinity")
 
 
-def tangency_mode(prof: ExponentProfile) -> str:
-    """'x' / 'y' when ps = rq forces a far-collision comparison, else 'none'.
+def is_tangent(prof: ExponentProfile) -> bool:
+    """ps = rq with x dominant at both places: far collisions need the automaton.
 
     A comparison is only needed when the same coordinate has a pole at both
     places (the far fiber values can then cancel against the branch); with
     mixed dominance the far term is a pure vertical-asymptote contribution.
+    For a nonconstant x, ps = rq with q, s > 0 forces p, r > 0, so x is the
+    shared dominant coordinate whenever there is one.
     """
-    if prof.p * prof.s != prof.r * prof.q:
-        return "none"
-    if prof.p > 0 and prof.r > 0:
-        return "x"
-    if prof.q > 0 and prof.s > 0:
-        return "y"
-    return "none"
+    return prof.p * prof.s == prof.r * prof.q and prof.p > 0 and prof.r > 0
 
 
 def far_term(prof: ExponentProfile, place: str) -> int:
@@ -533,7 +531,7 @@ def delta2_max_at_place(prof: ExponentProfile, place: str) -> int:
 def analyze_place(curve: ParametricCurve, place: str) -> PlaceAnalysis:
     """Branch data, nu, index and hidden double points at one place."""
     prof = exponent_profile(curve)
-    tangent = tangency_mode(prof) != "none"
+    tangent = is_tangent(prof)
     base_is_x, ram, kappa = place_base_data(prof, place)
     lead_exp = -kappa
     hard_cap = _trunc_cap_multiplier() * (
@@ -576,14 +574,14 @@ def branch_at_infinity(curve: ParametricCurve, place: str) -> PlaceAnalysis:
 
 def place_index(curve: ParametricCurve, place: str) -> int:
     prof = exponent_profile(curve)
-    if tangency_mode(prof) != "none":
+    if is_tangent(prof):
         raise TangentCase("ps = rq: use the tangency analysis")
     return analyze_place(curve, place).index
 
 
 def place_delta(curve: ParametricCurve, place: str) -> int:
     prof = exponent_profile(curve)
-    if tangency_mode(prof) != "none":
+    if is_tangent(prof):
         raise TangentCase("ps = rq: use the tangency analysis")
     return analyze_place(curve, place).delta2
 
@@ -604,13 +602,9 @@ class TangencyData:
     far_inf: int
     far_0: int
     lead_match: bool  # E_1^{p_1} = F_1^{p_1}
-    third_term_closed_form: Fraction  # the published closed form, evaluated verbatim
-    third_term_direct: int  # from the directly computed indices
-    third_term_mismatch: bool
-    common_block: list  # [(lattice_pos, coeff_is_zero)] for the surviving coset
+    third_term_direct: int  # from the exact indices
 
     def as_dict(self) -> dict:
-        closed = self.third_term_closed_form
         return {
             "u": self.u,
             "v": self.v_lattice,
@@ -619,9 +613,7 @@ class TangencyData:
             "index_inf": self.index_inf,
             "index_0": self.index_0,
             "lead_match": self.lead_match,
-            "third_term_closed_form": int(closed) if closed.denominator == 1 else rat_str(closed),
             "third_term_direct": self.third_term_direct,
-            "third_term_mismatch": self.third_term_mismatch,
         }
 
 
@@ -639,14 +631,17 @@ def leading_invariants(curve: ParametricCurve) -> tuple[Scalar, Scalar]:
     return E, F
 
 
-def _coset_automaton(ring, yA: TS, yB: TS, p: int, r: int, L: int, window_end: int):
+def _coset_automaton(ring, yA: TS, yB: TS, p: int, r: int, L: int):
     """Compare the two places' expansions over all relative mu_r alignments.
 
     yA: series in sigma_A (lattice step L/p), yB in sigma_B (step L/r), both
-    over `ring`.  Tracks alive = {zeta in mu_r : zeta^m = w}; a mismatch at
-    lattice position l kills part of the coset.  Returns (deaths, block,
-    lead_match) with deaths = [(l, count)], block = [(l, common_coeff_is_zero)]
-    for positions where the final survivor coset still agreed.
+    over `ring`.  Tracks alive = {zeta in mu_r : zeta^m = w} and asks for
+    a = zeta^j b at each lattice position, with a, b the two coefficients (zero
+    off a side's lattice) and j the position of b: both zero keeps the coset,
+    exactly one zero kills all of it, and both nonzero intersect it with
+    {zeta^j = a/b}, killing part or all of it.  Returns (deaths, block,
+    lead_match) with deaths = [(l, count)], block = [(l, both_zero)] for
+    positions where the final survivor coset still agreed.
     """
     stepA, stepB = L // p, L // r
     lead = min(yA.val * stepA, yB.val * stepB)
@@ -657,45 +652,25 @@ def _coset_automaton(ring, yA: TS, yB: TS, p: int, r: int, L: int, window_end: i
     while m is not None:
         if pos >= yA.prec * stepA or pos >= yB.prec * stepB:
             raise TruncationCap("tangency comparison ran out of precision")
-        a = None
-        if pos % stepA == 0:
-            i = pos // stepA
-            a = yA.coeff(i) if yA.val <= i < yA.prec else ring.zero()
-        b = None
-        j = None
-        if pos % stepB == 0:
-            j = pos // stepB
-            b = yB.coeff(j) if yB.val <= j < yB.prec else ring.zero()
+        a = yA.coeff(pos // stepA) if pos % stepA == 0 else None
+        b = yB.coeff(pos // stepB) if pos % stepB == 0 else None
         a_zero = a is None or ring.decide_zero(a)
         b_zero = b is None or ring.decide_zero(b)
-        if b is None or b_zero:
-            if a_zero:
-                block.append((pos, True))
-            else:
+        if a_zero and b_zero:
+            block.append((pos, True))
+        elif a_zero or b_zero:
+            deaths.append((pos, m))
+            m = None
+        else:
+            merged = _merge_coset(ring, m, w, (pos // stepB) % r, ring.mul(a, ring.inv(b)))
+            if merged is None:
                 deaths.append((pos, m))
                 m = None
-        else:
-            # condition zeta^j = a / b on the alive coset
-            c = ring.mul(a if a is not None else ring.zero(), ring.inv(b))
-            jm = j % r
-            if jm == 0:
-                ok = ring.decide_zero(ring.sub(c, ring.one()))
-                if ok:
-                    block.append((pos, a_zero))
-                else:
-                    deaths.append((pos, m))
-                    m = None
             else:
-                w_new = _merge_coset(ring, m, w, jm, c, gcd(m, jm))
-                if w_new is None:
-                    deaths.append((pos, m))
-                    m = None
-                else:
-                    g_new, w_val = w_new
-                    if g_new < m:
-                        deaths.append((pos, m - g_new))
-                    m, w = g_new, w_val
-                    block.append((pos, a_zero))
+                if merged[0] < m:
+                    deaths.append((pos, m - merged[0]))
+                m, w = merged
+                block.append((pos, False))
         pos += 1
     lead_match = not (deaths and deaths[0][0] == lead and deaths[0][1] == r and len(block) == 0)
     # trim the block to positions before the final death
@@ -722,7 +697,7 @@ def _ring_pow_signed(ring, x, k: int):
     return ring.pow(ring.inv(x), -k)
 
 
-def _merge_coset(ring, m: int, w, j: int, c, g: int):
+def _merge_coset(ring, m: int, w, j: int, c):
     """Intersect {zeta^m = w} with {zeta^j = c} inside mu_r.
 
     Returns (g, w') with the intersection = {zeta^g = w'}, or None when empty.
@@ -763,11 +738,8 @@ def _rooted_series(st: BranchState, ring, key: str, lead: Scalar, v0: int, serie
 def tangency_delta(curve: ParametricCurve, delta2max: int, pl_inf: PlaceAnalysis | None = None, pl_0: PlaceAnalysis | None = None) -> TangencyData:
     """u, nu_tan and 2*delta_inf in the tangent case ps = rq (exact indices)."""
     prof = exponent_profile(curve)
-    mode = tangency_mode(prof)
-    if mode == "none":
+    if not is_tangent(prof):
         raise ValueError("tangency analysis requires ps = rq with shared dominance")
-    if mode == "y":
-        return tangency_delta(curve.swapped(), delta2max)
     p, q, r, s = prof.p, prof.q, prof.r, prof.s
     L = lcm(p, r)
     v_lat = gcd(p, r)
@@ -783,22 +755,18 @@ def tangency_delta(curve: ParametricCurve, delta2max: int, pl_inf: PlaceAnalysis
             # yB must be over Ri before it is lifted into Ri's extension Rf
             Rf, yB2 = _rooted_series(st, Ri, "r0", lead_0, -ram_0, yB.lift(Ri))
             yA2 = yA2.lift(Rf)
-            end = min(yA2.prec * (L // p), yB2.prec * (L // r))
             # the branch at infinity collides with the r fiber points of the
             # zero place and vice versa: one automaton run per direction
-            fwd = _coset_automaton(Rf, yA2, yB2, p, r, L, end)
-            rev = _coset_automaton(Rf, yB2, yA2, r, p, L, end)
-            return fwd, rev
+            return _coset_automaton(Rf, yA2, yB2, p, r, L), _coset_automaton(Rf, yB2, yA2, r, p, L)
 
         fwd, rev = explore_branches(fn)[0]
-        far_inf = sum(Fraction(cnt * pl * p, L) for pl, cnt in fwd[0])
-        far_0 = sum(Fraction(cnt * pl * r, L) for pl, cnt in rev[0])
-        if far_inf.denominator != 1 or far_0.denominator != 1:
-            raise NotDivisible(f"tangency_delta: far terms {far_inf}, {far_0} off the lattice at window {window}")
-        return fwd, int(far_inf), int(far_0)
+        far_inf, far_0 = (sum(cnt * pl * k for pl, cnt in run[0]) for run, k in ((fwd, p), (rev, r)))
+        if far_inf % L or far_0 % L:
+            raise NotDivisible(f"tangency_delta: far terms {far_inf}/{L}, {far_0}/{L} off the lattice at window {window}")
+        return fwd, far_inf // L, far_0 // L
 
     # the last window is the first one beyond capm * base_window
-    (deaths, block, lead_match), far_inf, far_0 = _with_window(attempt, base_window, capm * base_window + 1)
+    (_, block, lead_match), far_inf, far_0 = _with_window(attempt, base_window, capm * base_window + 1)
     if pl_inf is None:
         pl_inf = analyze_place(curve, "inf")
     if pl_0 is None:
@@ -812,8 +780,7 @@ def tangency_delta(curve: ParametricCurve, delta2max: int, pl_inf: PlaceAnalysis
     u = 0
     vanishing_essential = 0
     d_cur = v_lat
-    vpossed = [(pos // step, z) for pos, z in block if pos % step == 0]
-    for vpos, is_zero in vpossed:
+    for vpos, is_zero in [(pos // step, z) for pos, z in block if pos % step == 0]:
         u += 1
         essential = d_cur != 1 and vpos % d_cur != 0
         if essential:
@@ -823,8 +790,6 @@ def tangency_delta(curve: ParametricCurve, delta2max: int, pl_inf: PlaceAnalysis
                 d_cur = gcd(d_cur, abs(vpos))
     nu_tan = u - vanishing_essential
 
-    direct_third = (2 - idx_inf - idx_0) - _pair_sum(pl_inf.chain) - _pair_sum(pl_0.chain)
-    closed = _third_term_closed_form(prof, vpossed, deaths, L, v_lat)
     return TangencyData(
         u=u,
         v_lattice=v_lat,
@@ -835,39 +800,10 @@ def tangency_delta(curve: ParametricCurve, delta2max: int, pl_inf: PlaceAnalysis
         far_inf=far_inf,
         far_0=far_0,
         lead_match=lead_match,
-        third_term_closed_form=closed,
-        third_term_direct=direct_third,
-        third_term_mismatch=closed != direct_third,
-        common_block=block,
+        third_term_direct=(2 - idx_inf - idx_0) - _pair_sum(pl_inf.chain) - _pair_sum(pl_0.chain),
     )
 
 
 def _pair_sum(chain: ChainData) -> int:
     """sum (q_j p_{j+1}..p_l - 1)(p_j - 1) p_{j+1}..p_l over the place pairs."""
     return milnor_from_exponents([-e for e in chain.char_exponents], chain.dchain)
-
-
-def _third_term_closed_form(prof, vpossed, deaths, L: int, v_lat: int) -> Fraction:
-    """The published closed form of the coincidence term, evaluated verbatim.
-
-    Kept for cross-validation only; the certificate always uses the direct
-    index computation (the two are compared and mismatches flagged)."""
-    d = v_lat
-    dchain = [v_lat]
-    exps = []
-    for vpos, z in vpossed:
-        if z or d == 1:
-            continue
-        if vpos % d != 0:
-            exps.append(abs(vpos))
-            d = gcd(d, abs(vpos))
-            dchain.append(d)
-    total = 0
-    for w_j, d_prev, dd in zip(exps, dchain, dchain[1:]):
-        total += w_j * (d_prev // dd - 1) * dd * dd
-    # max(u_inf / p~1, u_0 / r~1): first differing exponent in x-units, times v
-    mx = Fraction(0)
-    if deaths:
-        last = deaths[-1][0]
-        mx = Fraction(abs(last) * v_lat, L)
-    return 2 * prof.p * prof.q * (Fraction(total) + mx)

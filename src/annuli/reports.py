@@ -26,7 +26,7 @@ from .curves import (
     exponent_profile,
 )
 from .io import emit_curve
-from .local import tangency_mode
+from .local import is_tangent
 
 
 def analyze_curve(curve: ParametricCurve) -> tuple[dict, int]:
@@ -35,7 +35,7 @@ def analyze_curve(curve: ParametricCurve) -> tuple[dict, int]:
     curve.check_admissible()
     prof = exponent_profile(curve)
     report["profile"] = prof.as_dict()
-    report["tangent_case"] = tangency_mode(prof) != "none"
+    report["tangent_case"] = is_tangent(prof)
     prim = detect_nonprimitive(curve)
     report["primitivity"] = prim
     if prim["kind"] == "PowerCover":

@@ -62,6 +62,36 @@ def test_json_error_reports_position():
     assert "line" in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "doc, where",
+    [
+        ('{"field":{"d":4},"x":[[1,"1","1"]],"y":[[-1,"1","0"]]}', "at field"),
+        ('{"field":{"d":0},"x":[[1,"1","0"]],"y":[[-1,"1","0"]]}', "at field"),
+        ('{"field":{"d":1},"x":5,"y":[[-1,"1","0"]]}', "at x$"),
+        ('{"field":{"d":1},"x":[[true,"1","0"]],"y":[[-1,"1","0"]]}', r"at x\[0\]"),
+    ],
+    ids=["field_tag_4", "field_tag_0", "component_not_a_list", "boolean_exponent"],
+)
+def test_malformed_curve_file_is_a_parse_error(tmp_path, capsys, doc, where):
+    with pytest.raises(ParseError, match=where):
+        parse_curve_file(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(doc)
+    assert main(["analyze", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("point", ["t^x", "t+1/0"], ids=["exponent_not_an_integer", "zero_denominator"])
+def test_malformed_point_is_a_parse_error(tmp_path, capsys, point):
+    with pytest.raises(ParseError, match="bad term"):
+        parse_point_factor(point)
+    u = tmp_path / "u.json"
+    assert main(["catalog", "gen", "--series", "u", "--out", str(u)]) == 0
+    capsys.readouterr()
+    assert main(["oracle", "delta", str(u), "--point", point]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_parse_point_factor():
     assert parse_point_factor("t^2+t+1") == LaurentPoly({2: 1, 1: 1, 0: 1})
     assert parse_point_factor("t-1/2") == LaurentPoly({1: 1, 0: Scalar("-1/2")})

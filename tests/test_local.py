@@ -1,9 +1,6 @@
 import gc
 import random
-from dataclasses import replace
-from fractions import Fraction
 from math import lcm
-from types import SimpleNamespace
 
 from hypothesis import assume, example, given, settings, strategies as st
 
@@ -34,7 +31,6 @@ from annuli.local import (
     _laurent_to_ts,
     _place_orientation,
     _shifted_series,
-    _third_term_closed_form,
     _trunc_cap_multiplier,
     _with_window,
 )
@@ -234,16 +230,6 @@ def test_window_search_keeps_the_largest_window():
     seen.clear()
     found = _with_window(needs_13, 20, 16 * 28 + 1)
     assert found == seen[-1] and 13 <= found < 26  # within one doubling of the need
-
-
-def test_third_term_closed_form_stays_exact():
-    """A fractional closed form is kept as a fraction and printed as 'n/d'."""
-    val = _third_term_closed_form(SimpleNamespace(p=1, q=1), [], [(1, 1)], 3, 1)
-    assert val == Fraction(2, 3) and isinstance(val, Fraction)
-    r0 = gen_series(series_id("r", n=0))
-    data = tangency_delta(r0, delta_max(exponent_profile(r0)))
-    assert data.as_dict()["third_term_closed_form"] == 60  # an integer stays a JSON number
-    assert replace(data, third_term_closed_form=val).as_dict()["third_term_closed_form"] == "2/3"
 
 
 def test_compose_laurent_series_leaves_no_reference_cycle():
@@ -460,8 +446,7 @@ def _rooted_automata(curve):
             Ri, _, yA = _rooted_place_series(curve, "inf", window, st_, SCALARS, "ri")
             Rf, _, yB = _rooted_place_series(curve, "0", window, st_, Ri, "r0")
             yA = yA.lift(Rf)
-            end = min(yA.prec * (L // p), yB.prec * (L // r))
-            return _coset_automaton(Rf, yA, yB, p, r, L, end), _coset_automaton(Rf, yB, yA, r, p, L, end)
+            return _coset_automaton(Rf, yA, yB, p, r, L), _coset_automaton(Rf, yB, yA, r, p, L)
 
         return explore_branches(fn)[0]
 
@@ -521,3 +506,65 @@ def test_off_lattice_far_collisions_raise_not_divisible(monkeypatch):
     monkeypatch.setattr(local, "_coset_automaton", lambda *args: ([(1, 1)], [], True))
     with pytest.raises(NotDivisible, match="tangency_delta.*window"):
         tangency_delta(curve, delta_max(exponent_profile(curve)))
+
+
+def _embedded_tangent_curves(seed: int, count: int) -> list:
+    """y = x + c t^e with e = +-1 strictly inside x's exponent range, max(p, r) >= 3.
+
+    x and y share their extreme terms, so q = p and s = r (ps = rq), and the
+    curve is embedded: t^e = (y - x)/c is read off the image, and the two
+    derivatives differ by c e t^(e-1), which never vanishes on C*.
+    """
+    rng = random.Random(seed)
+    units = [-3, -2, -1, 1, 2, 3]
+    out = []
+    while len(out) < count:
+        p, r = rng.randint(1, 4), rng.randint(1, 4)
+        if max(p, r) < 3:
+            continue
+        x = {e: rng.randint(-3, 3) for e in range(-r + 1, p)} | {p: rng.choice(units), -r: rng.choice(units)}
+        y = dict(x)
+        e = rng.choice([e for e in (1, -1) if -r < e < p])
+        y[e] += rng.choice([-2, -1, 1, 2])
+        out.append(ParametricCurve(*(LaurentPoly({k: v for k, v in f.items() if v}) for f in (x, y))))
+    return out
+
+
+def test_tangent_embedding_with_a_vanishing_coefficient_analyzes():
+    # x = -t^3 + 2t - 2/t, y = -t^3 - 2/t (p = 3, r = 1).  Comparing the zero
+    # place against mu_3 meets a = zeta^2 b with a = 0 and b != 0: the whole
+    # coset dies there, and a = 0 is never inverted
+    from annuli.reports import analyze_curve
+
+    report, code = analyze_curve(ParametricCurve(-t(3) + 2 * t() - 2 * t(-1), -t(3) - 2 * t(-1)))
+    assert code == 0 and report["verdict"]["verdict"] == "Embedding"
+    assert report["balance_equation"] == "6 = 0 + 6" and report["ledger"]["euler_check"]
+    tan = report["ledger"]["tangency"]
+    assert (tan["u"], tan["nu_tan"], tan["two_delta_inf"]) == (1, 1, 6)
+    assert tan["index_inf"] == tan["index_0"] == 1
+
+
+def test_embedded_tangent_sweep_balances():
+    from annuli.reports import analyze_curve
+
+    for curve in _embedded_tangent_curves(seed=13, count=40):
+        report, code = analyze_curve(curve)
+        assert report["tangent_case"], curve
+        assert code == 0 and report["verdict"]["verdict"] == "Embedding", curve
+        assert report["ledger"]["balanced"] and report["ledger"]["euler_check"], curve
+
+
+def test_a_shared_dominant_coordinate_is_always_x():
+    """ps = rq with q, s > 0 forces p, r > 0 on admissible profiles, so the
+    tangent case never needs y as the shared dominant coordinate."""
+    rng = range(-8, 9)
+    for p in rng:
+        for r in rng:
+            if p < -r or (p, r) == (0, 0):  # bot(x) <= top(x), x nonconstant
+                continue
+            for q in rng:
+                for s in rng:
+                    if q < -s or (q, s) == (0, 0):
+                        continue
+                    if p * s == r * q and q > 0 and s > 0:
+                        assert p > 0 and r > 0, (p, q, r, s)

@@ -31,3 +31,19 @@ def test_every_traced_name_resolves():
             assert hasattr(owner, name), f"{metric}: {module}.{path} does not exist"
             owner = getattr(owner, name)
         assert callable(owner), f"{metric}: {module}.{path} is not callable"
+
+
+def test_only_the_backend_module_imports_fractions():
+    """Every rational goes through the selected backend (`annuli._ratio.QQ`)."""
+    import ast
+
+    package = Path(__file__).resolve().parent.parent / "src" / "annuli"
+    importers = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = [a.name for a in node.names] if isinstance(node, ast.Import) else []
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            if any(n.split(".")[0] == "fractions" for n in names):
+                importers.append(path.name)
+    assert importers == ["_ratio.py"]
