@@ -32,18 +32,23 @@ from .curves import (
     Classification,
     ExponentProfile,
     ParametricCurve,
+    affine_dependence,
     detect_nonprimitive,
     dim_curv,
     exponent_profile,
 )
 from .laurent import LaurentPoly, NotDivisible, from_dense, poly_gcd, squarefree_part, to_dense
 from .local import (
+    ImproperParametrization,
     PlaceAnalysis,
     PlaceNotAtInfinity,
     PointAnalysis,
     TangencyData,
     analyze_place,
     branch_series_at_point,
+    delta_max,
+    derivative_numerator,
+    is_tangent,
     singular_parameters,
     tangency_delta,
 )
@@ -67,12 +72,6 @@ class BoundTooSmall(ArithmeticError):
 # ---------------------------------------------------------------------------
 # delta_max and the ledger
 # ---------------------------------------------------------------------------
-
-
-def delta_max(prof: ExponentProfile) -> int:
-    """2 * delta_max: finite double points of the typical curve of this profile."""
-    p, q, r, s = prof.p, prof.q, prof.r, prof.s
-    return (p + r - 1) * (q + s - 1) - (prof.p1 + prof.r1 - 1) + abs(p * s - r * q)
 
 
 @dataclass
@@ -128,16 +127,12 @@ class BalanceLedger:
 
 def ph_ledger(curve: ParametricCurve) -> BalanceLedger:
     """Assemble the Poincare-Hopf balance ledger for a primitive curve."""
-    from .curves import affine_dependence
-
     if affine_dependence(curve) is not None:
         raise DegenerateCurve("components are affinely dependent")
     prof = exponent_profile(curve)
     d2max = delta_max(prof)
     swap = prof.q + prof.s < prof.p + prof.r
     finite = singular_parameters(curve, swap=swap)
-    from .local import is_tangent
-
     tangent = is_tangent(prof)
     pl_inf = analyze_place(curve, "inf")
     pl_0 = analyze_place(curve, "0")
@@ -522,6 +517,7 @@ class Verdict:
     certificate: InjectivityCertificate | None
     ledger: BalanceLedger | None
     annulus_proper: bool
+    ledger_error: str | None = None  # why `ledger` is None on an improper parametrization
 
     def as_dict(self) -> dict:
         return {
@@ -538,7 +534,7 @@ def embedding_verdict(curve: ParametricCurve, with_ledger: bool = True) -> Verdi
     if pc["kind"] == "PowerCover":
         return Verdict("NotEmbedding", f"PowerCover {pc['d']}", None, None, True)
     cert = injectivity_certificate(curve)
-    ledger = None
+    ledger = error = None
     proper = True
     if with_ledger:
         try:
@@ -547,6 +543,11 @@ def embedding_verdict(curve: ParametricCurve, with_ledger: bool = True) -> Verdi
             proper = False
         except DegenerateCurve:
             ledger = None
+        except ImproperParametrization as exc:
+            # every image point of an improper parametrization has two preimages
+            if cert.verdict == "Injective":
+                raise LedgerMismatch(f"injective curve with no ledger: {exc}") from exc
+            error = f"improper parametrization: {exc}"
     if cert.verdict == "Injective":
         if ledger is not None and not ledger.balanced:
             raise LedgerMismatch(
@@ -554,7 +555,7 @@ def embedding_verdict(curve: ParametricCurve, with_ledger: bool = True) -> Verdi
                 f"{ledger.two_delta_inf} + {ledger.finite_sum()} != {ledger.two_delta_max}"
             )
         return Verdict("Embedding", None, cert, ledger, proper)
-    return Verdict("NotEmbedding", "SelfIntersection", cert, ledger, proper)
+    return Verdict("NotEmbedding", "SelfIntersection", cert, ledger, proper, error)
 
 
 @dataclass
@@ -654,8 +655,6 @@ def estimates_audit(curve: ParametricCurve, ledger: BalanceLedger) -> list[Audit
             b2 = (prof.p1 + prof.r1) * nu_inf
             rows.append(AuditRow("2delta_inf<=(p'+r')nu_inf (nu_inf<=1)", tan.delta2_inf, b2, tan.delta2_inf <= b2))
     # zero-count bound: sum orbit*(n_j - 1) <= available zeros of phi'
-    from .local import derivative_numerator
-
     dn = derivative_numerator(curve.psi if ledger.swapped else curve.phi)
     avail = dn.top() if not dn.is_zero() else 0
     lhs = sum((e.n - 1) * e.orbit for e in ledger.finite)

@@ -7,8 +7,9 @@
     annuli oracle delta <curve.json> --point "t^2+t+1" [--bound 60]
 
 Exit codes: 0 embedding / success, 3 non-embedding / failed verification,
-2 excluded or invalid parameters, 1 internal error.  The environment variable
-ANNULI_TRUNC_CAP overrides the truncation cap multiplier.
+2 excluded or invalid parameters, 1 internal error.  A curve that needs more
+precision than its exponent profile bounds is improperly parametrized: it
+gets a typed ledger error.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import argparse
 import sys
 
 from .catalog import ExcludedParams, PARAM_SPECS, default_grid, gen_series, list_series, series_id
+from .certify import BoundTooSmall, oracle_delta_at_factor
 from .io import ParseError, emit_curve_file, parse_curve_file, parse_point_factor
 from .reports import analyze_curve, report_json, verify_catalog_entry
 
@@ -81,6 +83,9 @@ def main(argv=None) -> int:
         return 1
     except ExcludedParams as exc:
         print(f"excluded: {exc}", file=sys.stderr)
+        return 2
+    except BoundTooSmall as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:
         return 1
@@ -204,8 +209,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_oracle_delta(args) -> int:
-    from .certify import oracle_delta_at_factor
-
     with open(args.path) as fh:
         curve = parse_curve_file(fh.read())
     factor = parse_point_factor(args.point, curve.field_tag())

@@ -15,6 +15,7 @@ mutually inverse on canonical forms.
 from __future__ import annotations
 
 import json
+import re
 
 from ._ratio import is_squarefree, rat, rat_str
 from .curves import ParametricCurve
@@ -183,8 +184,6 @@ def _parse_scalar_expr(s: str, d: int) -> Scalar:
             body = body[1:-1]
         den = int(den_s)
         s = body
-    import re
-
     m = re.fullmatch(r"(?:(?P<a>[+-]?\d+(?:/\d+)?))?(?P<sign>[+-])?(?:(?P<b>\d+(?:/\d+)?)\*?)?sqrt\((?P<d>-?\d+)\)", s)
     if not m:
         raise ParseError(f"cannot parse scalar {s!r}")
@@ -193,4 +192,6 @@ def _parse_scalar_expr(s: str, d: int) -> Scalar:
     if m.group("sign") == "-":
         b = -b
     dd = int(m.group("d"))
+    if d != 1 and dd != d:
+        raise ParseError(f"sqrt({dd}) is not in the curve's field Q(sqrt({d}))")
     return Scalar(a, b, dd) * Scalar(rat(1, den))

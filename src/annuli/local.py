@@ -34,7 +34,6 @@ g there.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from math import gcd, lcm
 
@@ -58,11 +57,8 @@ class IncompleteBranch(ArithmeticError):
     """Invariants requested from a branch whose chain did not resolve."""
 
 
-def _trunc_cap_multiplier() -> int:
-    try:
-        return max(1, int(os.environ.get("ANNULI_TRUNC_CAP", "16")))
-    except ValueError:
-        return 16
+class ImproperParametrization(ArithmeticError):
+    """A window search failed at the largest window a proper parametrization needs."""
 
 
 # Small enough that most branches resolve in the first or second window; on
@@ -70,25 +66,21 @@ def _trunc_cap_multiplier() -> int:
 _FIRST_WINDOW = 6
 
 
-def _with_window(attempt, base: int, cap: int):
-    """attempt(window), doubling the window on TruncationCap.
+def _with_window(attempt, largest: int, stage: str):
+    """attempt(window) at 6, 12, 24, ... and last at `largest`, the site's `largest_window`.
 
-    The largest window is the first of base, 2*base, 4*base, ... that reaches
-    `cap`; TruncationCap at that window propagates.  Every series operation
-    tracks its precision and every decision reads below it, so a window
-    smaller than that gives the same result or TruncationCap.  The search
-    therefore starts at a small window and doubles up to the largest one.
+    Series track their precision, so a window below the one a site needs gives
+    the same result or TruncationCap.  Proper parametrizations need at most
+    `largest` (2 delta_max = 2 delta_inf + sum mu_j + double points, all >= 0),
+    so TruncationCap there raises ImproperParametrization.
     """
-    largest = base
-    while largest < cap:
-        largest *= 2
-    window = min(_FIRST_WINDOW, largest)
+    window = min(_FIRST_WINDOW, max(largest, 1))
     while True:
         try:
             return attempt(window)
-        except TruncationCap:
+        except TruncationCap as exc:
             if window >= largest:
-                raise
+                raise ImproperParametrization(f"{stage} unresolved at window {window}") from exc
             window = min(2 * window, largest)
 
 
@@ -253,9 +245,6 @@ def analyze_point(
     factor share all numerical data by construction.
     """
     phi, psi = (curve.psi, curve.phi) if swap else (curve.phi, curve.psi)
-    prof = exponent_profile(curve)
-    mass = abs(prof.p) + abs(prof.q) + abs(prof.r) + abs(prof.s)
-    cap = _trunc_cap_multiplier() * (2 * mass + 8)
 
     def run(window: int) -> list[PointAnalysis]:
         def fn(st: BranchState) -> PointAnalysis:
@@ -281,7 +270,7 @@ def analyze_point(
 
         return explore_branches(fn)
 
-    return _with_window(run, min(2 * mass + 8, 32), cap)
+    return _with_window(run, largest_window(exponent_profile(curve), "point"), f"point {factor!r}")
 
 
 def field_linear_split(f: LaurentPoly) -> list[LaurentPoly]:
@@ -322,9 +311,7 @@ def _divisors(n: int) -> list[int]:
     return sorted(set(out))
 
 
-def local_puiseux(curve: ParametricCurve, factor: LaurentPoly, swap: bool = False) -> list[PointAnalysis]:
-    """Standard-form Puiseux data at the roots of a squarefree point factor."""
-    return analyze_point(curve, factor, swap=swap)
+local_puiseux = analyze_point  # the README's name for the point analysis
 
 
 def singular_parameters(curve: ParametricCurve, swap: bool = False) -> list[PointAnalysis]:
@@ -520,6 +507,37 @@ def _compose_laurent_series(f, ring, inner: TS, window: int) -> TS:
     return out if cut is None else out.truncate(cut)
 
 
+def delta_max(prof: ExponentProfile) -> int:
+    """2 * delta_max: finite double points of the typical curve of this profile."""
+    p, q, r, s = prof.p, prof.q, prof.r, prof.s
+    return (p + r - 1) * (q + s - 1) - (prof.p1 + prof.r1 - 1) + abs(p * s - r * q)
+
+
+def largest_window(prof: ExponentProfile, site: str) -> int:
+    """Largest window a proper parametrization needs at "point", "inf", "0" or "tangency"."""
+    p, q, r, s = prof.p, prof.q, prof.r, prof.s
+    if site == "point":
+        # e_l + 1 <= mu + 2 <= 2 delta_max + 2; off the singular locus, ord(x - x0) <= span(x), same for y
+        return max(delta_max(prof) + 2, p + r + 1, q + s + 1)
+    if not is_tangent(prof):
+        _, ram, kappa = place_base_data(prof, site)
+        # e_l + kappa + 1, with 2 delta_place <= 2 delta_max and e_l + kappa <= sigma_near + kappa (ram - 1)
+        room = delta_max(prof) - delta2_max_at_place(prof, site) - far_term(prof, site)
+        return room - ram + 2 + kappa * (ram - 1)
+    if site != "tangency":
+        # e_l + kappa + 1, with idx_inf + idx_0 <= 2, far_inf, far_0 >= -rq, sigma_near >= -kappa (ram - 1)
+        return (r - 1) * s + 2 * r * q - p - r + q * (p - 1) + 1
+    L = lcm(p, r)
+    lead = -q * L // p
+    largest = 0
+    for a, ka, b, kb in ((p, q, r, s), (r, s, p, q)):
+        # last death pos_l on both sides: far_a <= (a - 1) ka + (b - 1) kb - a - b + rq (idx_inf + idx_0 <= 2),
+        # the other b - 1 deaths at lead or later
+        pos = L // a * ((a - 1) * ka + (b - 1) * kb - a - b) - (2 * b - 1) * lead
+        largest = max(largest, pos * a // L + ka + 1, pos * b // L + kb + 1)
+    return largest
+
+
 def delta2_max_at_place(prof: ExponentProfile, place: str) -> int:
     p, q, r, s = prof.p, prof.q, prof.r, prof.s
     mx = max(p * s, r * q)
@@ -529,21 +547,20 @@ def delta2_max_at_place(prof: ExponentProfile, place: str) -> int:
 
 
 def analyze_place(curve: ParametricCurve, place: str) -> PlaceAnalysis:
-    """Branch data, nu, index and hidden double points at one place."""
+    """Branch data, nu, index and hidden double points at one place.
+
+    The chain reads its series to O(sigma^(window - kappa)), up to window
+    `largest_window`: 2 delta_place <= 2 delta_max and e_l + kappa <=
+    sigma_near + kappa (ram - 1), or idx_inf + idx_0 <= 2 when ps = rq.
+    """
     prof = exponent_profile(curve)
-    tangent = is_tangent(prof)
     base_is_x, ram, kappa = place_base_data(prof, place)
-    lead_exp = -kappa
-    hard_cap = _trunc_cap_multiplier() * (
-        abs(prof.p) + abs(prof.q) + abs(prof.r) + abs(prof.s) + 8
-    )
 
     def attempt(window: int) -> ChainData:
         ram_, _, sub_sigma = place_subordinate_series(curve, place, window)
-        return scan_chain(SCALARS, sub_sigma, ram_, lead_exp + 1)
+        return scan_chain(SCALARS, sub_sigma, ram_, 1 - kappa)
 
-    # the last window is the first one beyond hard_cap
-    chain = _with_window(attempt, 2 * ram + abs(lead_exp) + 10, hard_cap + 1)
+    chain = _with_window(attempt, largest_window(prof, place), f"place {place}")
 
     pairs_signed = [
         (-(e // d), d_prev // d)
@@ -551,7 +568,7 @@ def analyze_place(curve: ParametricCurve, place: str) -> PlaceAnalysis:
     ]
     d2max = delta2_max_at_place(prof, place)
     idx = d2 = None
-    if not tangent:
+    if not is_tangent(prof):
         idx = chain.sigma_near() + far_term(prof, place) + ram + 1
         d2 = d2max + idx - 2
     return PlaceAnalysis(
@@ -566,10 +583,6 @@ def analyze_place(curve: ParametricCurve, place: str) -> PlaceAnalysis:
         delta2=d2,
         delta2_max=d2max,
     )
-
-
-def branch_at_infinity(curve: ParametricCurve, place: str) -> PlaceAnalysis:
-    return analyze_place(curve, place)
 
 
 def place_index(curve: ParametricCurve, place: str) -> int:
@@ -743,8 +756,6 @@ def tangency_delta(curve: ParametricCurve, delta2max: int, pl_inf: PlaceAnalysis
     p, q, r, s = prof.p, prof.q, prof.r, prof.s
     L = lcm(p, r)
     v_lat = gcd(p, r)
-    base_window = 2 * (abs(p) + abs(q) + abs(r) + abs(s)) + 12
-    capm = _trunc_cap_multiplier()
 
     def attempt(window: int):
         ram_i, lead_i, yA = place_subordinate_series(curve, "inf", window)
@@ -765,8 +776,7 @@ def tangency_delta(curve: ParametricCurve, delta2max: int, pl_inf: PlaceAnalysis
             raise NotDivisible(f"tangency_delta: far terms {far_inf}/{L}, {far_0}/{L} off the lattice at window {window}")
         return fwd, far_inf // L, far_0 // L
 
-    # the last window is the first one beyond capm * base_window
-    (_, block, lead_match), far_inf, far_0 = _with_window(attempt, base_window, capm * base_window + 1)
+    (_, block, lead_match), far_inf, far_0 = _with_window(attempt, largest_window(prof, "tangency"), "tangency")
     if pl_inf is None:
         pl_inf = analyze_place(curve, "inf")
     if pl_0 is None:

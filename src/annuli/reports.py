@@ -26,7 +26,7 @@ from .curves import (
     exponent_profile,
 )
 from .io import emit_curve
-from .local import is_tangent
+from .local import is_tangent, leading_invariants, place_subordinate_series
 
 
 def analyze_curve(curve: ParametricCurve) -> tuple[dict, int]:
@@ -53,7 +53,7 @@ def analyze_curve(curve: ParametricCurve) -> tuple[dict, int]:
     report["verdict"] = verdict.as_dict()
     led = verdict.ledger
     if led is None:
-        report["ledger"] = {"error": "place not at infinity: not a proper annulus"}
+        report["ledger"] = {"error": verdict.ledger_error or "place not at infinity: not a proper annulus"}
     else:
         report["ledger"] = led.as_dict()
         report["balance_equation"] = "{} = {} + {}".format(
@@ -131,15 +131,11 @@ def _verify_place_notes(curve: ParametricCurve, notes: dict) -> bool | None:
         return None
     ok = True
     if "place_0_y_in_x_prefix" in notes:
-        from .local import place_subordinate_series
-
         want = notes["place_0_y_in_x_prefix"]
         _, _, sub = place_subordinate_series(curve, "0", 24, force_base="x")
         got = [sub.val + i for i, c in enumerate(sub.cs) if not c.is_zero()][: len(want)]
         ok = ok and got == want
     if "lead_invariant_match" in notes:
-        from .local import leading_invariants
-
         E, F = leading_invariants(curve)
         ok = ok and (E == F) == notes["lead_invariant_match"]
     return ok

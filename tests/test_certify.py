@@ -6,8 +6,11 @@ from hypothesis import given, settings, strategies as st
 from annuli._ratio import QQ
 from annuli.bipoly import double_point_system, poly_eval_ring, uv_deg, uv_eval_diag, uv_eval_ring, uv_prs
 from annuli.catalog import gen_series, series_id
+from annuli import certify
 from annuli.certify import (
     BoundTooSmall,
+    InjectivityCertificate,
+    LedgerMismatch,
     delta_max,
     delta_semigroup_oracle,
     embedding_verdict,
@@ -22,6 +25,7 @@ from annuli.certify import (
 from annuli.curves import ParametricCurve, apply_automorphism, classify_type, exponent_profile
 from annuli.laurent import LaurentPoly, from_dense, poly_gcd, resultant, squarefree_part, to_dense
 from annuli.local import milnor_from_pairs, scan_chain, singular_parameters
+from annuli.reports import analyze_curve
 from annuli.rings import SCALARS, BranchState, explore_branches, quotient_gcd
 from annuli.scalars import Scalar
 from annuli.series import TS
@@ -122,6 +126,32 @@ def test_composite_curve_has_a_positive_dimensional_common_component():
     cert = injectivity_certificate(ParametricCurve(h, h * h + h * 3))
     assert cert.verdict == "SelfIntersection"
     assert [w.ring_repr for w in cert.witnesses] == ["positive-dimensional common component"]
+
+
+_H = t(2) + t(1) + t(-1)
+COMPOSITES = [
+    (ParametricCurve(t(1) + t(-1), t(3) + t(-3)), "point t - 1"),
+    (ParametricCurve(_H, _H * _H + _H * 3), "point t^3 + 1/2*t^2 - 1/2"),
+]
+
+
+@pytest.mark.parametrize("curve, stage", COMPOSITES, ids=["t+1/t", "h=t^2+t+1/t"])
+def test_composite_curve_gets_a_typed_ledger_error(curve, stage):
+    """No chain of an improperly parametrized curve resolves, so the ledger
+    stops at its first site's largest window and names it."""
+    report, code = analyze_curve(curve)
+    assert code == 3
+    assert report["verdict"]["verdict"] == "NotEmbedding" and report["verdict"]["reason"] == "SelfIntersection"
+    error = report["ledger"]["error"]
+    assert error.startswith(f"improper parametrization: {stage} unresolved at window ")
+    assert "balance_equation" not in report
+
+
+def test_an_injective_certificate_with_no_ledger_is_a_mismatch(monkeypatch):
+    curve = COMPOSITES[0][0]
+    monkeypatch.setattr(certify, "injectivity_certificate", lambda c: InjectivityCertificate("Injective", [], []))
+    with pytest.raises(LedgerMismatch, match="injective curve with no ledger: point t - 1"):
+        embedding_verdict(curve)
 
 
 # -- the fiber gcd from the subresultant chain against Euclid over Q[v]/(m) ----

@@ -107,3 +107,42 @@ def test_fallback_backend_reproduces_reports(tmp_path):
         outs[backend] = proc.stdout
     assert outs["gmpy2"] == outs["fractions"]
     json.loads(outs["gmpy2"])  # well-formed
+
+
+def random_composite(rng: random.Random) -> ParametricCurve:
+    """phi = g1(h), psi = g2(h): a random Laurent h with poles at both places
+    and span 2 or 3, polynomials g1 and g2 of degrees 1..3, one linear when h
+    has span 3 and neither when it has span 2 (so no component has span 9)."""
+    span = rng.randint(2, 3)
+    bot = rng.randint(1 - span, -1)
+    ends = (bot, bot + span)
+    h = LaurentPoly({e: Scalar(rng.choice((-2, -1, 1, 2))) for e in range(bot, bot + span + 1) if e in ends or rng.random() < 0.5})
+    d1, d2 = rng.choice([(2, 3), (3, 2)] if span == 2 else [(1, 2), (1, 3), (2, 1), (3, 1)])
+
+    def poly(deg):
+        out = h * rng.randint(1, 2)
+        for k in range(2, deg + 1):
+            out = out + h**k * rng.choice((-1, 1))
+        return out
+
+    return ParametricCurve(poly(d1), poly(d2))
+
+
+def test_composite_curves_get_a_typed_ledger_error():
+    """Every point of an improperly parametrized curve has two preimages: the
+    certificate finds a self-intersection, and the ledger stops at the first
+    site's largest window with a typed error instead of searching on."""
+    from annuli.reports import analyze_curve
+
+    rng = random.Random(20261019)
+    checked = 0
+    for _ in range(12):
+        c = random_composite(rng)
+        if detect_nonprimitive(c)["kind"] != "Primitive":
+            continue
+        report, code = analyze_curve(c)
+        assert code == 3, c
+        assert report["verdict"]["reason"] == "SelfIntersection", c
+        assert report["ledger"]["error"].startswith("improper parametrization: "), c
+        checked += 1
+    assert checked >= 8

@@ -4,6 +4,7 @@ import pytest
 
 from annuli.catalog import gen_series, series_id
 from annuli.cli import main
+from annuli.curves import ParametricCurve
 from annuli.io import (
     ParseError,
     emit_curve_file,
@@ -174,3 +175,30 @@ def test_cli_oracle_delta(tmp_path, capsys):
     assert main(["oracle", "delta", str(u), "--point", "t-1", "--bound", "20"]) == 0
     out = capsys.readouterr().out
     assert "delta = 4" in out
+
+
+def test_point_surd_outside_the_curve_field_is_a_parse_error(tmp_path, capsys):
+    with pytest.raises(ParseError, match=r"sqrt\(2\) is not in the curve's field"):
+        parse_point_factor("t-sqrt(2)", 5)
+    v = tmp_path / "v.json"
+    assert main(["catalog", "gen", "--series", "v", "--out", str(v)]) == 0
+    capsys.readouterr()
+    assert main(["oracle", "delta", str(v), "--point", "t-sqrt(2)"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_oracle_bound_below_the_conductor_is_an_invalid_parameter(tmp_path, capsys):
+    u = tmp_path / "u.json"
+    assert main(["catalog", "gen", "--series", "u", "--out", str(u)]) == 0
+    capsys.readouterr()
+    assert main(["oracle", "delta", str(u), "--point", "t-1", "--bound", "2"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_analyze_composite_curve_exits_3(tmp_path, capsys):
+    path = tmp_path / "composite.json"
+    path.write_text(emit_curve_file(ParametricCurve(t(1) + t(-1), t(3) + t(-3))))
+    assert main(["analyze", str(path)]) == 3
+    out = capsys.readouterr()
+    assert out.err == ""
+    assert json.loads(out.out)["ledger"]["error"].startswith("improper parametrization: point t - 1")

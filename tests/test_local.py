@@ -6,15 +6,18 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from annuli import local
 from annuli._ratio import QQ
-from annuli.catalog import gen_series, series_id
-from annuli.curves import ParametricCurve, exponent_profile
+from annuli.catalog import default_grid, gen_series, series_id
+from annuli.curves import ParametricCurve, detect_nonprimitive, exponent_profile
 from annuli.laurent import LaurentPoly, from_dense, poly_gcd, to_dense
 from annuli.local import (
+    ImproperParametrization,
+    PlaceNotAtInfinity,
     analyze_place,
     analyze_point,
     codimension_nu,
     ext_codim_point,
     field_linear_split,
+    largest_window,
     leading_invariants,
     milnor_from_exponents,
     milnor_from_pairs,
@@ -31,10 +34,9 @@ from annuli.local import (
     _laurent_to_ts,
     _place_orientation,
     _shifted_series,
-    _trunc_cap_multiplier,
     _with_window,
 )
-from annuli.certify import delta_max
+from annuli.certify import DegenerateCurve, delta_max, ph_ledger
 from annuli.rings import SCALARS, NotDivisible, Quotient, explore_branches
 from annuli.scalars import ONE, Scalar, nth_root_exact
 from annuli.series import TS, TruncationCap
@@ -205,20 +207,20 @@ def test_random_branch_forms_agree():
 
 
 def test_window_search_keeps_the_largest_window():
-    """The search starts small but stops at the first of base, 2*base, ...
-    that reaches the cap, re-raising TruncationCap there."""
+    """The search starts small, doubles, and ends at `largest`, raising the
+    typed ImproperParametrization there."""
     seen = []
 
     def never(window):
         seen.append(window)
         raise TruncationCap("unresolved")
 
-    with pytest.raises(TruncationCap):
-        _with_window(never, 20, 16 * 28 + 1)
-    assert seen[-1] == 640 and seen == sorted(set(seen)) and seen[0] < 20
+    with pytest.raises(ImproperParametrization, match="stage x unresolved at window 449"):
+        _with_window(never, 16 * 28 + 1, "stage x")
+    assert seen[-1] == 449 and seen == sorted(set(seen)) and seen[0] < 20
     seen.clear()
-    with pytest.raises(TruncationCap):
-        _with_window(never, 32, 32)
+    with pytest.raises(ImproperParametrization):
+        _with_window(never, 32, "stage y")
     assert seen[-1] == 32
 
     def needs_13(window):
@@ -228,7 +230,7 @@ def test_window_search_keeps_the_largest_window():
         return window
 
     seen.clear()
-    found = _with_window(needs_13, 20, 16 * 28 + 1)
+    found = _with_window(needs_13, 16 * 28 + 1, "stage z")
     assert found == seen[-1] and 13 <= found < 26  # within one doubling of the need
 
 
@@ -311,14 +313,7 @@ def _rooted_place_series(curve, place, window, st_, base_ring, key, force_x=Fals
     return R2, ram, _compose_laurent_series(sub, R2, tau, window)
 
 
-def _mass(curve):
-    prof = exponent_profile(curve)
-    return abs(prof.p) + abs(prof.q) + abs(prof.r) + abs(prof.s)
-
-
 def _rooted_point_chains(curve, factor):
-    mass = _mass(curve)
-
     def run(window):
         def fn(st_):
             R = st_.quotient(SCALARS, "pt", to_dense(factor))
@@ -331,11 +326,12 @@ def _rooted_point_chains(curve, factor):
 
         return explore_branches(fn)
 
-    return _with_window(run, min(2 * mass + 8, 32), _trunc_cap_multiplier() * (2 * mass + 8))
+    return _with_window(run, largest_window(exponent_profile(curve), "point"), "reference point")
 
 
 def _rooted_place_chain(curve, place):
-    _, ram, kappa = place_base_data(exponent_profile(curve), place)
+    prof = exponent_profile(curve)
+    kappa = place_base_data(prof, place)[2]
 
     def attempt(window):
         def fn(st_):
@@ -344,7 +340,7 @@ def _rooted_place_chain(curve, place):
 
         return explore_branches(fn)[0]
 
-    return _with_window(attempt, 2 * ram + abs(kappa) + 10, _trunc_cap_multiplier() * (_mass(curve) + 8) + 1)
+    return _with_window(attempt, largest_window(prof, place), f"reference place {place}")
 
 
 def _is_proper(curve) -> bool:
@@ -439,7 +435,6 @@ def _rooted_automata(curve):
     prof = exponent_profile(curve)
     p, r = prof.p, prof.r
     L = lcm(p, r)
-    base = 2 * _mass(curve) + 12
 
     def attempt(window):
         def fn(st_):
@@ -450,7 +445,7 @@ def _rooted_automata(curve):
 
         return explore_branches(fn)[0]
 
-    return _with_window(attempt, base, _trunc_cap_multiplier() * base + 1)
+    return _with_window(attempt, largest_window(prof, "tangency"), "reference tangency")
 
 
 @st.composite
@@ -568,3 +563,98 @@ def test_a_shared_dominant_coordinate_is_always_x():
                         continue
                     if p * s == r * q and q > 0 and s > 0:
                         assert p > 0 and r > 0, (p, q, r, s)
+
+
+# ---------------------------------------------------------------------------
+# the largest window of each site against the window it needs
+# ---------------------------------------------------------------------------
+
+
+def _spy_needs(monkeypatch) -> list:
+    """(stage, needed window, largest window) per resolved window search.
+
+    A chain reads up to its last characteristic exponent (the lead when the
+    chain is trivial) and the automaton up to its last death, on both sides.
+    Each series falls short of the window by a fixed amount per site (kappa
+    at a place), read off the series at the call.
+    """
+    rows, cur = [], {}
+    real_with_window, real_scan, real_coset = local._with_window, local.scan_chain, local._coset_automaton
+
+    def need(window_minus_prec, last_read):
+        cur["need"] = max(cur["need"], window_minus_prec + last_read + 1)
+
+    def with_window(attempt, largest, stage):
+        def spied(window):
+            cur["window"], cur["need"] = window, 0
+            out = attempt(window)
+            rows.append((stage, cur["need"], largest))
+            return out
+
+        return real_with_window(spied, largest, stage)
+
+    def scan(ring, series, ram, scan_from):
+        chain = real_scan(ring, series, ram, scan_from)
+        need(cur["window"] - series.prec, max(chain.char_exponents, default=chain.start))
+        return chain
+
+    def coset(ring, yA, yB, p, r, L):
+        out = real_coset(ring, yA, yB, p, r, L)
+        for y, step in ((yA, L // p), (yB, L // r)):
+            need(cur["window"] - y.prec, out[0][-1][0] // step)
+        return out
+
+    monkeypatch.setattr(local, "_with_window", with_window)
+    monkeypatch.setattr(local, "scan_chain", scan)
+    monkeypatch.setattr(local, "_coset_automaton", coset)
+    return rows
+
+
+def _random_bound_curves(d: int, count: int) -> list:
+    """Random proper curves over Q(sqrt d); every third one is B Q^a, C Q^b,
+    singular at the roots of the quadratic Q."""
+    rng = random.Random(f"window bounds {d}")
+
+    def scalar(nonzero=False):
+        while True:
+            c = Scalar(rng.randint(-2, 2), rng.randint(-1, 1) if d != 1 else 0, d)
+            if not (nonzero and c.is_zero()):
+                return c
+
+    def laurent(bot, top):
+        cs = {e: scalar(e in (bot, top)) for e in range(bot, top + 1)}
+        return LaurentPoly({e: c for e, c in cs.items() if not c.is_zero()})
+
+    out = []
+    for i in range(count):
+        if i % 3:
+            curve = ParametricCurve(*(laurent(rng.randint(-3, 0), rng.randint(1, 3)) for _ in range(2)))
+        else:
+            Q = LaurentPoly({0: scalar(True), 1: scalar(), 2: Scalar(1)})
+            B, C = (laurent(rng.randint(-2, 0), rng.randint(0, 1)) for _ in range(2))
+            curve = ParametricCurve(B * Q ** rng.randint(2, 3), C * Q ** rng.randint(2, 4))
+        if not curve.phi.is_constant() and not curve.psi.is_constant() and _is_proper(curve):
+            out.append(curve)
+    return out
+
+
+def test_every_site_resolves_within_its_largest_window(monkeypatch):
+    """The windows that the grid, random curves over Q and Q(sqrt 2) and the
+    embedded tangent sweep need never pass the bound from the profile, and
+    the point bound is attained at (b)[k=1,m=2]."""
+    rows = _spy_needs(monkeypatch)
+    curves = [gen_series(sid) for sid in default_grid()]
+    curves += _random_bound_curves(1, 90) + _random_bound_curves(2, 90)
+    curves += _embedded_tangent_curves(seed=13, count=40)
+    for curve in curves:
+        if detect_nonprimitive(curve)["kind"] != "Primitive":
+            continue
+        try:
+            ph_ledger(curve)
+        except (PlaceNotAtInfinity, DegenerateCurve):
+            continue
+    assert {stage.split()[0] for stage, _, _ in rows} == {"point", "place", "tangency"}
+    assert [row for row in rows if row[1] > row[2]] == []
+    rows.clear()
+    ph_ledger(gen_series(series_id("b", k=1, m=2)))
+    assert [(need, largest) for stage, need, largest in rows if stage.startswith("point")] == [(6, 6)]

@@ -47,3 +47,21 @@ def test_only_the_backend_module_imports_fractions():
             if any(n.split(".")[0] == "fractions" for n in names):
                 importers.append(path.name)
     assert importers == ["_ratio.py"]
+
+
+def test_only_the_backend_module_reads_the_environment():
+    """No hidden knobs: the backend choice is the one setting read from the
+    environment (`os.environ`, `os.getenv` or their `from os import` forms)."""
+    import ast
+
+    package = Path(__file__).resolve().parent.parent / "src" / "annuli"
+    readers = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = [a.name for a in node.names] if isinstance(node, ast.ImportFrom) and node.module == "os" else []
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "os":
+                names = [node.attr]
+            if any(n in ("environ", "environb", "getenv", "getenvb") for n in names):
+                readers.append(path.name)
+                break
+    assert readers == ["_ratio.py"]
