@@ -7,9 +7,8 @@
     annuli oracle delta <curve.json> --point "t^2+t+1" [--bound 60]
 
 Exit codes: 0 embedding / success, 3 non-embedding / failed verification,
-2 excluded or invalid parameters, 1 internal error.  A curve that needs more
-precision than its exponent profile bounds is improperly parametrized: it
-gets a typed ledger error.
+2 excluded or invalid parameters, 1 internal error.  A curve that does not resolve
+within its profile's precision bound is improperly parametrized: a typed ledger error.
 """
 
 from __future__ import annotations

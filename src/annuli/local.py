@@ -71,8 +71,8 @@ def _with_window(attempt, largest: int, stage: str):
 
     Series track their precision, so a window below the one a site needs gives
     the same result or TruncationCap.  Proper parametrizations need at most
-    `largest` (2 delta_max = 2 delta_inf + sum mu_j + double points, all >= 0),
-    so TruncationCap there raises ImproperParametrization.
+    `largest` (on an annulus 2 delta_max = 2 delta_inf + sum mu_j + double points,
+    all >= 0), so TruncationCap there raises ImproperParametrization.
     """
     window = min(_FIRST_WINDOW, max(largest, 1))
     while True:
@@ -311,9 +311,6 @@ def _divisors(n: int) -> list[int]:
     return sorted(set(out))
 
 
-local_puiseux = analyze_point  # the README's name for the point analysis
-
-
 def singular_parameters(curve: ParametricCurve, swap: bool = False) -> list[PointAnalysis]:
     """Full singular locus with per-factor data, refined by dynamic evaluation.
 
@@ -517,8 +514,10 @@ def largest_window(prof: ExponentProfile, site: str) -> int:
     """Largest window a proper parametrization needs at "point", "inf", "0" or "tangency"."""
     p, q, r, s = prof.p, prof.q, prof.r, prof.s
     if site == "point":
-        # e_l + 1 <= mu + 2 <= 2 delta_max + 2; off the singular locus, ord(x - x0) <= span(x), same for y
-        return max(delta_max(prof) + 2, p + r + 1, q + s + 1)
+        a, b = max(p, 0) + max(r, 0), max(q, 0) + max(s, 0)  # ord(x - x0) <= span(x - x0) = a, same for y
+        # e_l + 1 <= mu + 2 <= 2 delta + 2; 2 delta <= 2 delta_max on an annulus, <= 2 (a - 1)(b - 1) on any curve
+        d2 = delta_max(prof) if min(max(p, q), max(r, s)) > 0 else 2 * (a - 1) * (b - 1)
+        return max(d2 + 2, a + 1, b + 1)
     if not is_tangent(prof):
         _, ram, kappa = place_base_data(prof, site)
         # e_l + kappa + 1, with 2 delta_place <= 2 delta_max and e_l + kappa <= sigma_near + kappa (ram - 1)
@@ -528,12 +527,11 @@ def largest_window(prof: ExponentProfile, site: str) -> int:
         # e_l + kappa + 1, with idx_inf + idx_0 <= 2, far_inf, far_0 >= -rq, sigma_near >= -kappa (ram - 1)
         return (r - 1) * s + 2 * r * q - p - r + q * (p - 1) + 1
     L = lcm(p, r)
-    lead = -q * L // p
     largest = 0
     for a, ka, b, kb in ((p, q, r, s), (r, s, p, q)):
         # last death pos_l on both sides: far_a <= (a - 1) ka + (b - 1) kb - a - b + rq (idx_inf + idx_0 <= 2),
-        # the other b - 1 deaths at lead or later
-        pos = L // a * ((a - 1) * ka + (b - 1) * kb - a - b) - (2 * b - 1) * lead
+        # the other b - 1 deaths at lead = -qL/p or later
+        pos = L // a * ((a - 1) * ka + (b - 1) * kb - a - b) + (2 * b - 1) * q * L // p
         largest = max(largest, pos * a // L + ka + 1, pos * b // L + kb + 1)
     return largest
 
@@ -583,6 +581,10 @@ def analyze_place(curve: ParametricCurve, place: str) -> PlaceAnalysis:
         delta2=d2,
         delta2_max=d2max,
     )
+
+
+local_puiseux = analyze_point  # the README's names for the point and place analyses
+branch_at_infinity = analyze_place
 
 
 def place_index(curve: ParametricCurve, place: str) -> int:

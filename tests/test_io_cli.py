@@ -202,3 +202,16 @@ def test_cli_analyze_composite_curve_exits_3(tmp_path, capsys):
     out = capsys.readouterr()
     assert out.err == ""
     assert json.loads(out.out)["ledger"]["error"].startswith("improper parametrization: point t - 1")
+
+
+def test_cli_analyze_curve_with_a_finite_place_has_no_ledger(tmp_path, capsys):
+    """The place 0 of x = t^3 - 3t^2 + 3t, y = 2t^3 - 5t^2 + 4t is the point
+    (0, 0), so the curve is no annulus and its ledger is not computed."""
+    path = tmp_path / "finite_place.json"
+    path.write_text(emit_curve_file(ParametricCurve(t(3) - t(2) * 3 + t(1) * 3, t(3) * 2 - t(2) * 5 + t(1) * 4)))
+    assert main(["analyze", str(path)]) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    report = json.loads(out.out)
+    assert report["verdict"]["verdict"] == "Embedding" and report["verdict"]["annulus_proper"] is False
+    assert report["ledger"] == {"error": "place not at infinity: not a proper annulus"}

@@ -658,3 +658,38 @@ def test_every_site_resolves_within_its_largest_window(monkeypatch):
     rows.clear()
     ph_ledger(gen_series(series_id("b", k=1, m=2)))
     assert [(need, largest) for stage, need, largest in rows if stage.startswith("point")] == [(6, 6)]
+
+
+def _off_annulus_curves(count: int) -> list:
+    """Random proper curves x = u^a + ..., y = u^b + ... in u = t - 1, shifted
+    to vanish at t = 0: the place 0 is the finite point (0, 0)."""
+    rng = random.Random("off annulus")
+    u = t(1) - 1
+    out = []
+    while len(out) < count:
+        a = rng.randint(2, 4)
+        b = a + rng.randint(1, 3)
+        x = u**a + u ** (a + 1) * rng.randint(-2, 2)
+        y = u**b + u ** (b + 1) * rng.randint(-2, 2) + u ** (b + 2) * rng.randint(-2, 2)
+        curve = ParametricCurve(x - x.eval(0), y - y.eval(0))
+        if _is_proper(curve):
+            out.append(curve)
+    return out
+
+
+def test_the_point_bound_holds_off_annuli(monkeypatch):
+    """With a place at a finite point the balance bounds nothing, and the
+    point bound is the genus of the bidegree: x = t^3 - 3t^2 + 3t,
+    y = 2t^3 - 5t^2 + 4t has 2 delta_max = -2, but its cusp x - 1 = u^3,
+    y - 1 = u^2 + 2u^3 at u = t - 1 = 0 needs window 4."""
+    rows = _spy_needs(monkeypatch)
+    u = t(1) - 1
+    cusp = ParametricCurve(u**3 + 1, u**2 + u**3 * 2 + 1)
+    assert cusp.phi == t(3) - t(2) * 3 + t(1) * 3 and delta_max(exponent_profile(cusp)) == -2
+    [pa] = local.local_puiseux(cusp, u)
+    assert (pa.n, pa.mu) == (3, 2)
+    assert [(need, largest) for _, need, largest in rows] == [(4, 10)]
+    for curve in _off_annulus_curves(12):
+        assert exponent_profile(curve).r < 0 and exponent_profile(curve).s < 0
+        singular_parameters(curve)
+    assert len(rows) > 12 and [row for row in rows if row[1] > row[2]] == []
