@@ -28,7 +28,7 @@ WORKLOAD = textwrap.dedent(
     from annuli.certify import ph_ledger, embedding_verdict, injectivity_certificate, oracle_delta_at_factor
     from annuli.curves import ParametricCurve
     from annuli.local import analyze_place
-    from annuli.rings import SCALARS, Quotient
+    from annuli.rings import SCALARS, Quotient, ring_pow
     from annuli.scalars import Scalar
     from annuli.series import TS
 
@@ -91,7 +91,7 @@ WORKLOAD = textwrap.dedent(
     def elem(i):
         acc = R.zero()
         for k in range(4):
-            acc = R.add(acc, R.mul(R.from_scalar(Scalar(ratio.QQ(i - k, k + 2))), R.pow(s, k)))
+            acc = R.add(acc, R.mul(R.from_scalar(Scalar(ratio.QQ(i - k, k + 2))), ring_pow(R, s, k)))
         return acc
 
     f = TS(R, 0, [elem(i) for i in range(32)])
@@ -105,7 +105,7 @@ WORKLOAD = textwrap.dedent(
     u = TS(R, 0, [R.one()] + [elem(i) for i in range(1, 32)])
     t0 = time.time()
     for n in (3, -3):
-        u.nth_root_monic(n)
+        u.unit_power(ratio.QQ(1, n))
     out["series_root_quotient"] = round(time.time() - t0, 3)
 
     # poly_gcd over Q(sqrt 2): the Euclidean loop of the dense kernel, 30 pairs

@@ -21,7 +21,7 @@ from math import comb, lcm
 
 from ._ratio import QQ
 from .laurent import LaurentPoly, poly_gcd
-from .rings import int_convolve, int_divexact
+from .rings import int_convolve, int_divexact, ring_pow
 from .scalars import Scalar, ZERO
 
 UV = dict  # {int: LaurentPoly in v}
@@ -259,5 +259,5 @@ def uv_eval_ring(F: UV, ring, u_val, v_val):
     for d, p in F.items():
         if p.is_zero():
             continue
-        out = ring.add(out, ring.mul(poly_eval_ring(p, ring, v_val), ring.pow(u_val, d)))
+        out = ring.add(out, ring.mul(poly_eval_ring(p, ring, v_val), ring_pow(ring, u_val, d)))
     return out

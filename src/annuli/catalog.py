@@ -13,6 +13,7 @@ from math import gcd
 
 from .curves import ParametricCurve
 from .laurent import LaurentPoly, NotDivisible
+from .local import milnor_from_pairs
 from .scalars import Scalar
 
 
@@ -136,8 +137,6 @@ class ExpectedInvariants:
 
 
 def _entry(pairs: tuple, mult: int | None = None) -> dict:
-    from .local import milnor_from_pairs
-
     mu = milnor_from_pairs(list(pairs))
     if mult is None:
         mult = pairs[0][1] if pairs else 1

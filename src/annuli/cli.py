@@ -17,7 +17,7 @@ import argparse
 import sys
 
 from .catalog import ExcludedParams, PARAM_SPECS, default_grid, gen_series, list_series, series_id
-from .certify import BoundTooSmall, oracle_delta_at_factor
+from .certify import BoundTooSmall, LedgerMismatch, oracle_delta_at_factor
 from .io import ParseError, emit_curve_file, parse_curve_file, parse_point_factor
 from .reports import analyze_curve, report_json, verify_catalog_entry
 
@@ -86,6 +86,9 @@ def main(argv=None) -> int:
     except BoundTooSmall as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except LedgerMismatch as exc:
+        print(f"error: internal: {exc}", file=sys.stderr)
+        return 1
     except BrokenPipeError:
         return 1
     return 1

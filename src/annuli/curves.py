@@ -268,9 +268,7 @@ def _handsome_matches(curve: ParametricCurve):
     return res
 
 
-def reduce_to_handsome(
-    curve: ParametricCurve, cap: int | None = None
-) -> Classification:
+def reduce_to_handsome(curve: ParametricCurve) -> Classification:
     """BFS over constant strips and elementary kills until a handsome row match.
 
     Each kill cancels the extreme term of one component against a power of the
@@ -283,8 +281,7 @@ def reduce_to_handsome(
         raise Unclassifiable(f"curve is multiply covered (t^{pc['d']})")
     pr0 = exponent_profile(curve)
     mass = abs(pr0.p) + abs(pr0.q) + abs(pr0.r) + abs(pr0.s)
-    if cap is None:
-        cap = 4 * mass + 16
+    cap = 4 * mass + 16
     log0: list = []
     start = _strip_constants(curve, log0)
     frontier: list[tuple[ParametricCurve, list]] = [(start, log0)]

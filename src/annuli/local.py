@@ -22,7 +22,10 @@ Both sides expand a branch the same way, over the ring the branch already
 lives in.  `_standard_form` brings the base coordinate x = lead tau^v0
 (1 + h(tau)), of signed order v0, to x = lead sigma^v0 with sigma =
 tau (1 + h)^(1/v0), and reverts sigma(tau).  The power (1 + h)^(1/v0) comes
-from Miller's recurrence for either sign of v0, so no series is inverted.
+from `TS.unit_power`, Miller's recurrence, which is also the package's series
+inverse and its (c + tau)^(-pole) at a point; for either sign of v0 no series
+is inverted.  Powers of ring elements (the coset automaton's zeta^j, the
+roots g^k) all go through `rings.ring_pow`.
 `_compose_laurent_series` then expands the other coordinate in sigma: a
 Laurent polynomial at a place, a truncated series at a finite point.  The
 standard form proper, x = (g sigma)^v0 with g^|v0| = lead, would multiply the
@@ -37,10 +40,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, lcm
 
-from ._ratio import rat
+from ._ratio import QQ, rat
 from .curves import ExponentProfile, ParametricCurve, exponent_profile
 from .laurent import LaurentPoly, _primitive_zz, from_dense, poly_gcd, squarefree_part, to_dense
-from .rings import BranchState, NotDivisible, SCALARS, explore_branches
+from .rings import BranchState, NotDivisible, SCALARS, explore_branches, ring_pow
 from .scalars import Scalar, nth_root_exact
 from .series import TS, TruncationCap, laurent_at_shifted_point
 
@@ -456,13 +459,14 @@ def _standard_form(dom: TS, v0: int) -> TS:
     """tau(sigma) over dom's own ring, such that dom(tau(sigma)) = lead sigma^v0.
 
     `dom` = lead tau^v0 (1 + h) has signed order v0 != 0.  sigma(tau) =
-    tau (1 + h)^(1/v0), with the power from `TS.nth_root_monic(v0)`, and
-    tau(sigma) is its reversion.  Nothing is adjoined; the tangency automaton,
-    which compares coefficient values across the two places, adjoins the root
-    of lead itself (`_rooted_series`).
+    tau (1 + h)^(1/v0), with the power from Miller's recurrence
+    (`TS.unit_power(1/v0)`, which inverts nothing), and tau(sigma) is its
+    reversion.  Nothing is adjoined; the tangency automaton, which compares
+    coefficient values across the two places, adjoins the root of lead itself
+    (`_rooted_series`).
     """
     unit = dom.shift(-v0).scale(dom.ring.inv(dom.coeff(v0)))  # 1 + h(tau)
-    return unit.nth_root_monic(v0).shift(1).reversion()
+    return unit.unit_power(QQ(1, v0)).shift(1).reversion()
 
 
 def _compose_laurent_series(f, ring, inner: TS, window: int) -> TS:
@@ -706,12 +710,6 @@ def _xgcd(a: int, b: int):
     return old_r, old_s, old_t
 
 
-def _ring_pow_signed(ring, x, k: int):
-    if k >= 0:
-        return ring.pow(x, k)
-    return ring.pow(ring.inv(x), -k)
-
-
 def _merge_coset(ring, m: int, w, j: int, c):
     """Intersect {zeta^m = w} with {zeta^j = c} inside mu_r.
 
@@ -720,10 +718,10 @@ def _merge_coset(ring, m: int, w, j: int, c):
     requires w = w'^(m/g) and c = w'^(j/g).
     """
     gg, alpha, beta = _xgcd(m, j)
-    w_p = ring.mul(_ring_pow_signed(ring, w, alpha), _ring_pow_signed(ring, c, beta))
-    if not ring.decide_zero(ring.sub(_ring_pow_signed(ring, w_p, m // gg), w)):
+    w_p = ring.mul(ring_pow(ring, w, alpha), ring_pow(ring, c, beta))
+    if not ring.decide_zero(ring.sub(ring_pow(ring, w_p, m // gg), w)):
         return None
-    if not ring.decide_zero(ring.sub(_ring_pow_signed(ring, w_p, j // gg), c)):
+    if not ring.decide_zero(ring.sub(ring_pow(ring, w_p, j // gg), c)):
         return None
     return gg, w_p
 
@@ -742,7 +740,7 @@ def _rooted_series(st: BranchState, ring, key: str, lead: Scalar, v0: int, serie
         R2 = st.quotient(ring, key, [ring.from_scalar(-lead)] + [ring.zero()] * (abs(v0) - 1) + [ring.one()])
         g, series = R2.gen(), series.lift(R2)
     step = g if v0 < 0 else R2.inv(g)
-    gk = _ring_pow_signed(R2, step, series.val)
+    gk = ring_pow(R2, step, series.val)
     cs = []
     for c in series.cs:
         cs.append(R2.mul(c, gk))

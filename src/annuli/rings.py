@@ -16,8 +16,10 @@ This module also holds the one dense polynomial kernel of the package:
 coefficient lists (low -> high) over any of these rings, with the ring as the
 first argument of every function (:func:`trim`, :func:`dense_mul`,
 :func:`dense_sub`, :func:`dense_divmod`, :func:`dense_divexact` and the
-Euclidean :func:`quotient_gcd`).  Over :data:`SCALARS` it is the field kernel
-of :mod:`annuli.laurent`.
+Euclidean :func:`quotient_gcd`), and the one power :func:`ring_pow` of a ring
+element.  Over :data:`SCALARS` it is the field kernel of
+:mod:`annuli.laurent`; :meth:`Quotient.mul` is :func:`dense_mul` over the
+base, reduced modulo the modulus.
 """
 
 from __future__ import annotations
@@ -73,16 +75,6 @@ class ScalarField:
 
     def mul(self, x, y):
         return x * y
-
-    def pow(self, x, k: int):
-        out = ONE
-        b = x
-        while k:
-            if k & 1:
-                out = out * b
-            b = b * b
-            k >>= 1
-        return out
 
     def inv(self, x):
         return x.inv()
@@ -247,16 +239,7 @@ class Quotient:
         return tuple(b.sub(u, v) for u, v in zip(x, y))
 
     def mul(self, x, y):
-        b = self.base
-        out = [b.zero()] * (2 * self.deg - 1)
-        for i, u in enumerate(x):
-            if b.is_zero(u):
-                continue
-            for j, v in enumerate(y):
-                if b.is_zero(v):
-                    continue
-                out[i + j] = b.add(out[i + j], b.mul(u, v))
-        return self._wrap(self._reduce(out))
+        return self._wrap(dense_mul(self.base, x, y))
 
     def convolve(self, f: list, g: list, n: int) -> list:
         """The first n coefficients of the product of coefficient lists f and g.
@@ -277,16 +260,6 @@ class Quotient:
 
         flat = self.base.convolve(rows(f), rows(g), n * w)
         return [self._wrap(flat[k * w : (k + 1) * w]) for k in range(n)]
-
-    def pow(self, x, k: int):
-        out = self.one()
-        bse = x
-        while k:
-            if k & 1:
-                out = self.mul(out, bse)
-            bse = self.mul(bse, bse)
-            k >>= 1
-        return out
 
     def is_zero(self, x) -> bool:
         """Structural zero test (exact for reduced elements; never splits)."""
@@ -366,8 +339,8 @@ class LinearQuotient:
     """
 
     _BASE_OPS = (
-        "zero", "one", "from_scalar", "add", "neg", "sub", "mul", "pow",
-        "inv", "is_zero", "decide_zero", "eq", "as_scalar", "to_repr", "convolve",
+        "zero", "one", "from_scalar", "add", "neg", "sub", "mul", "inv",
+        "is_zero", "decide_zero", "eq", "as_scalar", "to_repr", "convolve",
     )
 
     def __init__(self, base, root, key: str):
@@ -398,13 +371,35 @@ def trim(ring, cs: list) -> list:
 
 
 def dense_mul(ring, f: list, g: list) -> list:
+    """The product of f and g; zero coefficients are skipped."""
     if not f or not g:
         return []
     out = [ring.zero()] * (len(f) + len(g) - 1)
     for i, u in enumerate(f):
+        if ring.is_zero(u):
+            continue
         for j, v in enumerate(g):
+            if ring.is_zero(v):
+                continue
             out[i + j] = ring.add(out[i + j], ring.mul(u, v))
     return trim(ring, out)
+
+
+def ring_pow(ring, x, k: int):
+    """x^k in `ring` by square and multiply; a negative k inverts x first.
+
+    The inverse is the only call that can split.
+    """
+    if k < 0:
+        x, k = ring.inv(x), -k
+    out = ring.one()
+    while k:
+        if k & 1:
+            out = ring.mul(out, x)
+        k >>= 1
+        if k:
+            x = ring.mul(x, x)
+    return out
 
 
 def dense_sub(ring, f: list, g: list) -> list:

@@ -202,8 +202,6 @@ def nth_root_exact(x: Scalar, n: int) -> Scalar | None:
     rd = _int_nth_root(int(den), n)
     if rd is None:
         return None
-    from ._ratio import QQ
-
     return Scalar(QQ(sign * rn, rd))
 
 

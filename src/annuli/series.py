@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from ._ratio import QQ
 from .laurent import LaurentPoly
+from .rings import ring_pow
 from .scalars import Scalar
 
 
@@ -114,23 +115,22 @@ class TS:
         return TS(r, self.val, [r.mul(c, x) for x in self.cs])
 
     def inv(self) -> "TS":
-        """Inverse of a unit-leading series (splits if leading is a zero divisor)."""
+        """Inverse of a unit-leading series (splits if leading is a zero divisor).
+
+        f = a0 tau^v (1 + h) has inverse a0^(-1) tau^(-v) (1 + h)^(-1), and
+        `unit_power(-1)` gives the last factor.
+        """
         f = self.normalized()
         r = self.ring
         if not f.cs:
             raise ZeroDivisionError("inverse of zero series")
-        n = len(f.cs)
         a0i = r.inv(f.cs[0])
-        out = [r.zero()] * n
-        out[0] = a0i
-        for k in range(1, n):
-            acc = r.zero()
-            for j in range(1, k + 1):
-                acc = r.add(acc, r.mul(f.cs[j], out[k - j]))
-            out[k] = r.neg(r.mul(a0i, acc))
-        return TS(r, -f.val, out)
+        unit = TS(r, 0, [r.one()] + [r.mul(a0i, c) for c in f.cs[1:]])
+        return unit.unit_power(-1).shift(-f.val).scale(a0i)
 
     def pow_int(self, k: int) -> "TS":
+        """self^k by square and multiply (a negative k inverts first): the
+        independent reference that `unit_power` is tested against."""
         if k < 0:
             return self.inv().pow_int(-k)
         r = self.ring
@@ -147,27 +147,31 @@ class TS:
                 return out
             sq = sq.mul(sq)
 
-    def nth_root_monic(self, n: int) -> "TS":
-        """(1 + h)^(1/n) for a series 1 + h of val 0 and any integer n != 0.
+    def unit_power(self, alpha) -> "TS":
+        """(1 + h)^alpha for a series 1 + h of val 0 and a rational alpha.
 
         J. C. P. Miller's recurrence for a power w = f^alpha of a unit series
         (Knuth, TAOCP vol. 2, 4.7): f w' = alpha f' w gives, with f_0 = 1,
-        k w_k = sum_{j=1..k} ((alpha + 1) j - k) f_j w_{k-j}.  It is kept as
-        two running sums, of j f_j w_{k-j} and of f_j w_{k-j}.  Nothing is
-        inverted, so nothing splits.
+        k w_k = sum_{j=1..k} ((alpha + 1) j - k) h_j w_{k-j}.  It is kept as
+        two running sums, of j h_j w_{k-j} and of h_j w_{k-j}, over the
+        nonzero h_j only; at alpha = -1 the first sum has weight 0 and is
+        dropped.  Nothing is inverted, so nothing splits.
         """
         r = self.ring
-        f = self.cs
-        jf = [r.mul(r.from_scalar(Scalar(j)), c) for j, c in enumerate(f)]
-        w = [r.one()] + [r.zero()] * (len(f) - 1)
-        for k in range(1, len(f)):
+        h = self.cs
+        a1 = QQ(alpha) + 1
+        nz = [j for j in range(1, len(h)) if not r.is_zero(h[j])]
+        jh = {j: r.mul(r.from_scalar(Scalar(j)), h[j]) for j in nz} if a1 else {}
+        w = [r.one()] + [r.zero()] * (len(h) - 1)
+        for k in range(1, len(h)):
             s1 = s2 = r.zero()
-            for j in range(1, k + 1):
-                if r.is_zero(f[j]):
-                    continue
-                s1 = r.add(s1, r.mul(jf[j], w[k - j]))
-                s2 = r.add(s2, r.mul(f[j], w[k - j]))
-            w[k] = r.sub(r.mul(r.from_scalar(Scalar(QQ(n + 1, n * k))), s1), s2)
+            for j in nz:
+                if j > k:
+                    break
+                s2 = r.add(s2, r.mul(h[j], w[k - j]))
+                if a1:
+                    s1 = r.add(s1, r.mul(jh[j], w[k - j]))
+            w[k] = r.sub(r.mul(r.from_scalar(Scalar(a1 / k)), s1), s2) if a1 else r.neg(s2)
         return TS(r, 0, w)
 
     def reversion(self) -> "TS":
@@ -206,8 +210,8 @@ class TS:
 def laurent_at_shifted_point(ring, f: LaurentPoly, center, window: int) -> TS:
     """Series of f(c + tau) in tau, where c is a unit of `ring`, to O(tau^window).
 
-    Uses exact Taylor shift for the numerator and a geometric series for the
-    t^-a denominator part.
+    Uses exact Taylor shift for the numerator and Miller's recurrence
+    (`TS.unit_power`) for the t^-a denominator part.
     """
     pole = max(0, -f.bot()) if not f.is_zero() else 0
     num = f.shift(pole)
@@ -232,7 +236,7 @@ def laurent_at_shifted_point(ring, f: LaurentPoly, center, window: int) -> TS:
     numer = TS(ring, 0, acc)
     if pole == 0:
         return numer
-    # (c + tau)^(-pole) = c^(-pole) * (1 + tau/c)^(-pole) via series inverse
-    base = TS(ring, 0, [center] + [ring.one()] + [ring.zero()] * max(0, width - 2))
-    base_inv = base.inv().truncate(width)
-    return numer.mul(base_inv.pow_int(pole)).truncate(width)
+    # (c + tau)^(-pole) = c^(-pole) (1 + tau/c)^(-pole); only c is inverted
+    ci = ring.inv(center)
+    unit = TS(ring, 0, [ring.one(), ci] + [ring.zero()] * (width - 2))
+    return numer.mul(unit.unit_power(-pole).scale(ring_pow(ring, ci, pole)))

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from annuli import cli
 from annuli.catalog import gen_series, series_id
+from annuli.certify import LedgerMismatch
 from annuli.cli import main
 from annuli.curves import ParametricCurve
 from annuli.io import (
@@ -215,3 +217,19 @@ def test_cli_analyze_curve_with_a_finite_place_has_no_ledger(tmp_path, capsys):
     report = json.loads(out.out)
     assert report["verdict"]["verdict"] == "Embedding" and report["verdict"]["annulus_proper"] is False
     assert report["ledger"] == {"error": "place not at infinity: not a proper annulus"}
+
+
+def test_cli_analyze_reports_a_ledger_mismatch_as_an_internal_error(tmp_path, capsys, monkeypatch):
+    """An injectivity certificate that disagrees with the ledger is an internal
+    error: `error: internal: ...` and exit 1, not a traceback."""
+
+    def mismatch(curve):
+        raise LedgerMismatch("injective certificate but no ledger")
+
+    monkeypatch.setattr(cli, "analyze_curve", mismatch)
+    path = tmp_path / "w.json"
+    path.write_text(emit_curve_file(gen_series(series_id("w"))))
+    assert main(["analyze", str(path)]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: internal: injective certificate but no ledger\n"

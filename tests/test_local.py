@@ -26,6 +26,7 @@ from annuli.local import (
     place_index,
     place_subordinate_series,
     scan_chain,
+    singular_factors,
     singular_parameters,
     tangency_delta,
     TangentCase,
@@ -296,7 +297,7 @@ def _rooted_standard_form(st_, ring, key, dom, v0):
         g = R2.gen()
         dom = dom.lift(R2)
     unit = dom.shift(-v0).scale(R2.inv(dom.coeff(v0)))
-    sigma_of_tau = unit.nth_root_monic(v0).shift(1).scale(g if v0 > 0 else R2.inv(g))
+    sigma_of_tau = unit.unit_power(QQ(1, v0)).shift(1).scale(g if v0 > 0 else R2.inv(g))
     return R2, sigma_of_tau.reversion()
 
 
@@ -403,6 +404,46 @@ def test_root_free_points_match_the_rooted_standard_form(case):
     for factor in factors:
         got = [(repr(e.factor), e.chain) for e in analyze_point(curve, factor)]
         assert got == _rooted_point_chains(curve, factor)
+
+
+def _singular_point_curves(count: int) -> list:
+    """Proper curves x = B Q^a + k/t, y = C Q^b with k in {0, 1}, over Q and
+    Q(sqrt 2).  With k = 0 each root of the quadratic Q is a singular
+    parameter of order a in x; with k = 1 the singular parameters lie elsewhere."""
+    rng = random.Random("singular points")
+
+    def scalar(d, nonzero=False):
+        while True:
+            c = Scalar(rng.randint(-2, 2), rng.randint(-1, 1) if d != 1 else 0, d)
+            if not (nonzero and c.is_zero()):
+                return c
+
+    def laurent(d, bot, top):
+        cs = {e: scalar(d, e in (bot, top)) for e in range(bot, top + 1)}
+        return LaurentPoly({e: c for e, c in cs.items() if not c.is_zero()})
+
+    out = []
+    while len(out) < count:
+        d, k = (1, 2)[len(out) % 2], len(out) // 2 % 2
+        Q = LaurentPoly({0: scalar(d, True), 1: scalar(d), 2: Scalar(1)})
+        B, C = (laurent(d, rng.randint(-2, 0), rng.randint(0, 1)) for _ in range(2))
+        curve = ParametricCurve(B * Q ** rng.randint(2, 3) + t(-1) * k, C * Q ** rng.randint(2, 4))
+        if not curve.phi.is_constant() and not curve.psi.is_constant() and _is_proper(curve):
+            out.append(curve)
+    return out
+
+
+def test_root_free_singular_points_match_the_rooted_standard_form():
+    """The comparison above on curves whose points are singular: every piece of
+    the singular locus, and some with base order n >= 2 among them."""
+    orders = []
+    for curve in _singular_point_curves(16):
+        g = singular_factors(curve)
+        for factor in [] if g.is_constant() else field_linear_split(g):
+            got = analyze_point(curve, factor)
+            assert [(repr(e.factor), e.chain) for e in got] == _rooted_point_chains(curve, factor)
+            orders += [e.n for e in got]
+    assert sum(n >= 2 for n in orders) >= 6
 
 
 @st.composite
