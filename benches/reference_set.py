@@ -1,0 +1,55 @@
+"""Print one `label sha256` line per record of the reference report set.
+
+The records are `reports.analyze_curve` and `reports.verify_catalog_entry` at
+every point of `catalog.default_grid()`, and `reports.analyze_curve` on every
+`refute` and `fields` input of benchmark seeds 1 and 2
+(`annuli_bench.workloads.make_inputs`).  A record that raises hashes its
+exception instead.  Two trees give byte-identical reports when their outputs
+do not differ:
+
+    python benches/reference_set.py > after.txt
+    diff before.txt after.txt
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]
+
+from annuli import catalog, io, reports  # noqa: E402
+from annuli_bench.workloads import make_inputs  # noqa: E402
+
+SEEDS = (1, 2)
+
+
+def _digest(make) -> str:
+    try:
+        text = make()
+    except Exception as exc:
+        text = f"{type(exc).__name__}: {exc}"
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _analyze(curve) -> str:
+    report, code = reports.analyze_curve(curve)
+    return f"{code}\n{reports.report_json(report)}"
+
+
+def main() -> int:
+    for sid in catalog.default_grid():
+        print(f"grid analyze {sid}", _digest(lambda: _analyze(catalog.gen_series(sid))), flush=True)
+        print(f"grid verify {sid}", _digest(lambda: json.dumps(reports.verify_catalog_entry(sid), sort_keys=True)), flush=True)
+    for workload in ("refute", "fields"):
+        for seed in SEEDS:
+            for label, text in make_inputs(workload, seed):
+                print(f"{workload}:{seed} {label}", _digest(lambda: _analyze(io.parse_curve_file(text))), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -3,13 +3,14 @@
 Each family is generated exactly over its minimal coefficient field (Q, or
 Q(sqrt 2) / Q(sqrt 5) / Q(sqrt -3)); the recursive series share one Laurent
 recursion step, family (j) solves an antisymmetry identity, and the expected
-finite-singularity table is derived from the published local forms.
+finite-singularity table is derived from the published local forms, each read
+in the coordinate of smaller order as the analyzer reads every point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 
 from .curves import ParametricCurve
 from .laurent import LaurentPoly, NotDivisible
@@ -119,13 +120,9 @@ def series_id(letter: str, **params) -> SeriesId:
 @dataclass
 class ExpectedInvariants:
     smooth: bool
-    points: list  # multiset entries {"mu", "mult", "pairs"?}: pairs only when
-    # the expansion orientation is pinned by the published local form
+    points: list  # multiset entries {"mu", "mult", "pairs"}, pairs in the coordinate of smaller order
     labels: list
     place_notes: dict  # optional quantitative place expectations (verified)
-
-    def key(self) -> list:
-        return sorted((e["mu"], e["mult"]) for e in self.points)
 
     def as_dict(self) -> dict:
         return {
@@ -136,11 +133,35 @@ class ExpectedInvariants:
         }
 
 
-def _entry(pairs: tuple, mult: int | None = None) -> dict:
-    mu = milnor_from_pairs(list(pairs))
-    if mult is None:
-        mult = pairs[0][1] if pairs else 1
-    return {"mu": mu, "mult": mult, "pairs": [list(p) for p in pairs]}
+def _intrinsic(pairs: tuple) -> list:
+    """The pairs of the local form x = tau^n, y = sum tau^beta_j in the coordinate of smaller order.
+
+    n is the product of the n_j.  A form with beta_1 > n is already read in x.
+    Otherwise y has the smaller order beta_1, and by the inversion formula
+    (Abhyankar, Amer. J. Math. 89, 1967) the characteristic exponents of x in
+    y = sigma^beta_1 are n, left out when beta_1 divides n, then beta_j + n - beta_1.
+    """
+    n = prod(nj for _, nj in pairs)
+    betas, d = [], n
+    for m, nj in pairs:
+        d //= nj
+        betas.append(m * d)
+    if not betas or betas[0] > n:
+        return list(pairs)
+    b1 = betas[0]
+    exps = ([n] if n % b1 else []) + [b + n - b1 for b in betas[1:]]
+    out, d = [], b1
+    for e in exps:
+        g = gcd(d, e)
+        out.append((e // g, d // g))
+        d = g
+    return out
+
+
+def _entry(pairs: tuple) -> dict:
+    """(mu, mult, pairs) of a published local form, read by `_intrinsic`."""
+    pairs = _intrinsic(pairs)
+    return {"mu": milnor_from_pairs(pairs), "mult": prod(nj for _, nj in pairs), "pairs": [list(p) for p in pairs]}
 
 
 def _a2k(k: int) -> dict | None:
@@ -322,9 +343,9 @@ def gen_series(sid: SeriesId) -> ParametricCurve:
 def expected_invariants(sid: SeriesId) -> ExpectedInvariants:
     """Finite singularity table per family, from the published local forms.
 
-    Entries carry the presentation-independent (mu, multiplicity) data; the
-    characteristic pairs are pinned only where the published local form fixes
-    the expansion orientation used by the analyzer.
+    Every entry pins (mu, multiplicity, characteristic pairs), invariants of
+    the singularity: `_entry` reads each form in the coordinate of smaller
+    order, as `local.analyze_point` reads every point.
     """
     L = sid.letter
     P = dict(sid.params)
@@ -352,56 +373,31 @@ def expected_invariants(sid: SeriesId) -> ExpectedInvariants:
     elif L == "m":
         p, m, k = P.get("p", 2), P["m"], P["k"]
         if m >= 2:
-            e = _entry(((k, m), (p * k + 1, p)), mult=min(p * m, p * k))
-            e.pop("pairs")
-            pts = [e]
+            pts = [_entry(((k, m), (p * k + 1, p)))]
         elif k >= 1:
-            e = _entry(((p * k + 1, p),), mult=min(p * m, p * k))
-            e.pop("pairs")
-            pts = [e]
+            pts = [_entry(((p * k + 1, p),))]
     elif L == "n":
         m, k = P["m"], P["k"]
         if m >= 2:
-            e = _entry(((k, m), (2 * k + 1, 2)), mult=min(2 * m, 2 * k))
-            e.pop("pairs")
-            pts = [e]
+            pts = [_entry(((k, m), (2 * k + 1, 2)))]
         elif k >= 1:
-            e = _entry(((2 * k + 1, 2),), mult=min(2, 2 * k))
-            e.pop("pairs")
-            pts = [e]
+            pts = [_entry(((2 * k + 1, 2),))]
     elif L == "o":
         m, n = P["m"], P["n"]
         base = 2 * m * (2 * n + 1)
-        mult = min(base, 4 * m)
         if m == 1:
-            e = _entry(((2 * n + 1, 2), (base + 3, 2)), mult=mult)
+            pts = [_entry(((2 * n + 1, 2), (base + 3, 2)))]
         else:
-            e = _entry(((2 * n + 1, 2), (m * (2 * n + 1) + 1, m), (base + 3, 2)), mult=mult)
-        e.pop("pairs")  # orientation of the analyzer varies with n
-        pts = [e]
+            pts = [_entry(((2 * n + 1, 2), (m * (2 * n + 1) + 1, m), (base + 3, 2)))]
     elif L == "p":
         k = P["k"]
-        e = _entry(((2 * k + 1, 2), (4 * k + 3, 2)), mult=min(4, 4 * k + 2))
-        if k == 0:
-            e.pop("pairs")  # the analyzer expands x in y for k = 0
-        pts = [e, _a2k(1)]
+        pts = [_entry(((2 * k + 1, 2), (4 * k + 3, 2))), _a2k(1)]
     elif L == "q":
         m, n = P["m"], P["n"]
-        e = _entry(
-            ((2 * n + 1, 2), ((2 * m - 1) * (2 * n + 1) + 2, 2 * m - 1)),
-            mult=min((2 * m - 1) * (2 * n + 1), 4 * m - 2),
-        )
-        if n == 0:
-            e.pop("pairs")
-        pts = [e]
+        pts = [_entry(((2 * n + 1, 2), ((2 * m - 1) * (2 * n + 1) + 2, 2 * m - 1)))]
     elif L == "r":
         n = P["n"]
-        e = _entry(
-            ((2 * n + 1, 2), (3 * (2 * n + 1) + 1, 3)), mult=min(3 * (2 * n + 1), 6)
-        )
-        if n == 0:
-            e.pop("pairs")
-        pts = [e]
+        pts = [_entry(((2 * n + 1, 2), (3 * (2 * n + 1) + 1, 3)))]
         notes["lead_invariant_match"] = True  # leading place invariants agree
     elif L == "u":
         pts = [_entry(((9, 2),))]
@@ -414,8 +410,8 @@ def expected_invariants(sid: SeriesId) -> ExpectedInvariants:
     pts = [p for p in pts if p]
     labels = []
     for e in pts:
-        prs = e.get("pairs")
-        if prs and len(prs) == 1 and prs[0][1] == 2:
+        prs = e["pairs"]
+        if len(prs) == 1 and prs[0][1] == 2:
             labels.append(f"A_{e['mu']}")
         else:
             labels.append(f"mu={e['mu']}")
@@ -427,28 +423,12 @@ def expected_invariants(sid: SeriesId) -> ExpectedInvariants:
 def match_expected(sid: SeriesId, finite: list) -> tuple[bool, str]:
     """Compare analyzed finite singularities against the family table.
 
-    The (mu, multiplicity) multiset must match exactly; characteristic pairs
-    are compared for the entries where the table pins them.
+    The (mu, multiplicity, characteristic pairs) multiset must match exactly.
     """
-    exp = expected_invariants(sid)
-    got = []
-    for e in finite:
-        for _ in range(e.orbit):
-            got.append((e.mu, e.mult, tuple(tuple(p) for p in e.pairs)))
-    got_mm = sorted((m, mt) for m, mt, _ in got)
-    want_mm = sorted((e["mu"], e["mult"]) for e in exp.points)
-    if got_mm != want_mm:
-        return False, f"(mu, mult) mismatch: got {got_mm}, expected {want_mm}"
-    pool = sorted(got)
-    for e in exp.points:
-        prs = e.get("pairs")
-        if not prs:
-            continue
-        key = (e["mu"], e["mult"], tuple(tuple(p) for p in prs))
-        if key in pool:
-            pool.remove(key)
-        else:
-            return False, f"pinned pairs {prs} not found among {pool}"
+    got = sorted((e.mu, e.mult, tuple(map(tuple, e.pairs))) for e in finite for _ in range(e.orbit))
+    want = sorted((e["mu"], e["mult"], tuple(map(tuple, e["pairs"]))) for e in expected_invariants(sid).points)
+    if got != want:
+        return False, f"(mu, mult, pairs) mismatch: got {got}, expected {want}"
     return True, "ok"
 
 

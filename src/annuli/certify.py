@@ -85,7 +85,7 @@ class BalanceLedger:
     two_delta_inf: int
     balanced: bool
     euler_ok: bool
-    swapped: bool
+    swapped: bool  # q + s < p + r: the zero-count audit row reads psi' instead of phi'
     E: int
     reserve: int
 
@@ -131,8 +131,7 @@ def ph_ledger(curve: ParametricCurve) -> BalanceLedger:
         raise DegenerateCurve("components are affinely dependent")
     prof = exponent_profile(curve)
     d2max = delta_max(prof)
-    swap = prof.q + prof.s < prof.p + prof.r
-    finite = singular_parameters(curve, swap=swap)
+    finite = singular_parameters(curve)
     tangent = is_tangent(prof)
     pl_inf = analyze_place(curve, "inf")
     pl_0 = analyze_place(curve, "0")
@@ -165,7 +164,7 @@ def ph_ledger(curve: ParametricCurve) -> BalanceLedger:
         two_delta_inf=d2inf,
         balanced=balanced,
         euler_ok=euler_ok,
-        swapped=swap,
+        swapped=prof.q + prof.s < prof.p + prof.r,
         E=E,
         reserve=d2max - E,
     )
@@ -227,6 +226,10 @@ def _strip_const(f: LaurentPoly) -> LaurentPoly:
     return f - LaurentPoly.const(c) if not c.is_zero() else f
 
 
+# (name, the component with one C*-root, the component it changes, divide)
+_REDUCTION_MOVES = (("y*x", 0, 1, False), ("y/x", 0, 1, True), ("x*y", 1, 0, False), ("x/y", 1, 0, True))
+
+
 def _reduce_for_certificate(curve: ParametricCurve):
     """Span-reducing, double-point-preserving normalization of (phi, psi).
 
@@ -234,44 +237,30 @@ def _reduce_for_certificate(curve: ParametricCurve):
     dividing the other component by it (plus dropping additive constants)
     leaves the off-diagonal double-point set unchanged.
     """
-    phi, psi = _strip_const(curve.phi), _strip_const(curve.psi)
+    comps = (_strip_const(curve.phi), _strip_const(curve.psi))
     moves = []
     for _ in range(128):
         best = None
-        cur_span = _span(phi) + _span(psi)
-        cands = []
-        if _single_cstar_root(phi):
-            cands.append(("y*x", phi, "psi"))
-            cands.append(("y/x", phi, "psi_div"))
-        if _single_cstar_root(psi):
-            cands.append(("x*y", psi, "phi"))
-            cands.append(("x/y", psi, "phi_div"))
-        for name, other, mode in cands:
+        cur_span = _span(comps[0]) + _span(comps[1])
+        single = [_single_cstar_root(f) for f in comps]
+        for name, src, dst, divide in _REDUCTION_MOVES:
+            if not single[src]:
+                continue
             try:
-                if mode == "psi":
-                    cand = _strip_const(psi * other)
-                    new = (phi, cand)
-                elif mode == "psi_div":
-                    cand = _strip_const(psi.divexact(other))
-                    new = (phi, cand)
-                elif mode == "phi":
-                    cand = _strip_const(phi * other)
-                    new = (cand, psi)
-                else:
-                    cand = _strip_const(phi.divexact(other))
-                    new = (cand, psi)
+                cand = _strip_const(comps[dst].divexact(comps[src]) if divide else comps[dst] * comps[src])
             except (NotDivisible, ZeroDivisionError):
                 continue
             if cand.is_constant():
                 continue
+            new = (comps[0], cand) if dst else (cand, comps[1])
             sp = _span(new[0]) + _span(new[1])
             if sp < cur_span and (best is None or sp < best[0]):
                 best = (sp, name, new)
         if best is None:
             break
-        _, name, (phi, psi) = best
+        _, name, comps = best
         moves.append(name)
-    return ParametricCurve(phi, psi), moves
+    return ParametricCurve(*comps), moves
 
 
 def _fiber_check(D: UV, E: UV, modulus: LaurentPoly, prs: list) -> list:
@@ -424,13 +413,17 @@ def injectivity_certificate(curve: ParametricCurve) -> InjectivityCertificate:
     witnesses = [w for w in _fiber_check(D, E, M, prs) if w is not None]
     if witnesses:
         for w in witnesses:
-            w.point = _witness_point(reduced, w)
+            w.point = _witness_point(curve, w)
         return InjectivityCertificate("SelfIntersection", witnesses, moves)
     return InjectivityCertificate("Injective", [], moves)
 
 
 def _witness_point(curve: ParametricCurve, w: Witness) -> dict | None:
-    """Common image point of the witness pair, evaluated exactly in the tower."""
+    """Common image point of the witness pair on `curve`, evaluated exactly in the tower.
+
+    The reduction moves and constant shifts keep every off-diagonal pair, so a
+    witness of the reduced curve is a witness of the input, and `curve` is the input.
+    """
     if not w.u_poly:
         return None
 
@@ -481,10 +474,13 @@ def _sym_eval(ring, f: LaurentPoly, u, v):
 
 def verify_witness(curve: ParametricCurve, w: Witness) -> bool:
     """Exact re-verification: the witness variety solves both double-point
-    equations, has v != 0, and avoids the diagonal u^2 = 4v."""
+    equations, has v != 0, avoids the diagonal u^2 = 4v, and its printed point
+    is the curve's symmetric value there."""
     if not w.u_poly:
         return True  # positive-dimensional witnesses are verified structurally
     if w.v_factor[0].is_zero():
+        return False
+    if w.point != _witness_point(curve, w):
         return False
     D, E = double_point_system(curve.phi, curve.psi)
 

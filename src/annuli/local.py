@@ -2,9 +2,11 @@
 
 Finite side: singular parameters are the common C*-roots of the derivative
 numerators; each squarefree factor is analyzed in a quotient ring (dynamic
-evaluation).  Characteristic data comes from the gcd chain over the
-sigma-support of the subordinate component, the codimension from vanishing
-essential positions.
+evaluation).  At each point the coordinate of smaller order (x on a tie) is
+brought to standard form, so its order n is the multiplicity.
+Characteristic data comes from the gcd chain over the sigma-support of the
+other component, the codimension from vanishing essential positions: data
+of the singularity, not of the coordinates the curve is written in.
 
 Places: the subordinate coordinate is expanded in the dominant one at each of
 t = 0 and t = infinity.  The index of the pulled-back Hamiltonian field at a
@@ -210,14 +212,13 @@ def singular_factors(curve: ParametricCurve) -> LaurentPoly:
 class PointAnalysis:
     factor: LaurentPoly  # refined squarefree factor over the base field
     orbit: int  # degree of the factor
-    n: int  # base order (x-order, or y-order when swapped)
+    n: int  # multiplicity: the smaller order of x - x0 and y - y0
     chain: ChainData
     mu: int
     mu_form1: int
     nu: int
     extnu: int
     pairs: list
-    swapped: bool
 
     @property
     def delta2(self) -> int:
@@ -225,8 +226,8 @@ class PointAnalysis:
 
     @property
     def mult(self) -> int:
-        """Multiplicity of the germ: the smaller of the two component orders."""
-        return min(self.n, self.chain.start)
+        """Multiplicity of the germ, the order n of the expansion coordinate."""
+        return self.n
 
     def a_label(self) -> str | None:
         if len(self.pairs) == 1 and self.pairs[0][1] == 2:
@@ -239,24 +240,25 @@ class PointAnalysis:
         return (self.orbit, tuple(sorted((e, repr(c)) for e, c in self.factor.coeffs.items())))
 
 
-def analyze_point(
-    curve: ParametricCurve, factor: LaurentPoly, swap: bool = False
-) -> list[PointAnalysis]:
+def analyze_point(curve: ParametricCurve, factor: LaurentPoly) -> list[PointAnalysis]:
     """Analyze the singular points at the roots of `factor` (dynamic evaluation).
 
-    Returns one PointAnalysis per refined factor; conjugate points within one
-    factor share all numerical data by construction.
+    Each point is expanded in the coordinate of smaller order there, x on a
+    tie, so n is the multiplicity and the pairs are those of the singularity,
+    whatever the coordinates of the curve.  Returns one PointAnalysis per
+    refined factor; conjugate points within one factor share all numerical
+    data by construction.
     """
-    phi, psi = (curve.psi, curve.phi) if swap else (curve.phi, curve.psi)
 
     def run(window: int) -> list[PointAnalysis]:
         def fn(st: BranchState) -> PointAnalysis:
             R = st.quotient(SCALARS, "pt", to_dense(factor))
-            xs = _shifted_series(R, phi, window).normalized()
-            n = xs.order()
-            tau_of_sigma = _standard_form(xs, n)
-            y_sigma = _compose_laurent_series(_shifted_series(R, psi, window), R, tau_of_sigma, window)
-            chain = scan_chain(R, y_sigma, n, 1)
+            xs, ys = (_shifted_series(R, f, window) for f in (curve.phi, curve.psi))
+            n, ny = xs.order(), ys.order()
+            if ny < n:
+                xs, ys, n = ys, xs, ny
+            tau_of_sigma = _standard_form(xs.normalized(), n)
+            chain = scan_chain(R, _compose_laurent_series(ys, R, tau_of_sigma, window), n, 1)
             mod_now = st.modulus("pt", to_dense(factor))
             return PointAnalysis(
                 factor=from_dense(mod_now),
@@ -268,7 +270,6 @@ def analyze_point(
                 nu=chain.nu,
                 extnu=ext_codim_point(n, chain.nu),
                 pairs=chain.pairs,
-                swapped=swap,
             )
 
         return explore_branches(fn)
@@ -314,7 +315,7 @@ def _divisors(n: int) -> list[int]:
     return sorted(set(out))
 
 
-def singular_parameters(curve: ParametricCurve, swap: bool = False) -> list[PointAnalysis]:
+def singular_parameters(curve: ParametricCurve) -> list[PointAnalysis]:
     """Full singular locus with per-factor data, refined by dynamic evaluation.
 
     Linear factors over the coefficient field are split off first; conjugate
@@ -325,7 +326,7 @@ def singular_parameters(curve: ParametricCurve, swap: bool = False) -> list[Poin
         return []
     out: list[PointAnalysis] = []
     for piece in field_linear_split(g):
-        out.extend(analyze_point(curve, piece, swap=swap))
+        out.extend(analyze_point(curve, piece))
     return sorted(out, key=PointAnalysis.factor_key)
 
 

@@ -135,10 +135,6 @@ class Scalar:
             k >>= 1
         return out
 
-    def conj(self) -> "Scalar":
-        """Galois conjugate a - b*sqrt(d)."""
-        return Scalar(self.a, -self.b, self.d)
-
     # -- comparison / hashing ----------------------------------------------------
 
     def __eq__(self, other):

@@ -12,11 +12,12 @@ from annuli.catalog import (
     series_id,
     solve_Z,
     tower,
+    _intrinsic,
 )
 from annuli.certify import embedding_verdict
 from annuli.curves import ParametricCurve
 from annuli.laurent import LaurentPoly
-from annuli.local import singular_parameters
+from annuli.local import milnor_from_pairs, singular_parameters
 from annuli.scalars import Scalar
 
 t = LaurentPoly.t
@@ -162,6 +163,38 @@ def test_match_expected_against_analysis():
         c = gen_series(sid)
         ok, msg = match_expected(sid, singular_parameters(c))
         assert ok, f"{sid}: {msg}"
+
+
+# (member, its published local form): the first exponent lies below n, so the
+# analyzer, which expands in the coordinate of smaller order, reads another form
+PUBLISHED_BELOW_N = [
+    (series_id("m", m=2, n=1, k=1, l=1, p=2), ((1, 2), (3, 2))),
+    (series_id("m", m=3, n=2, k=1, l=1, p=2), ((1, 3), (3, 2))),
+    (series_id("n", m=2, n=1, k=1, l=1), ((1, 2), (3, 2))),
+    (series_id("n", m=4, n=3, k=1, l=1), ((1, 4), (3, 2))),
+    (series_id("o", m=1, n=0), ((1, 2), (5, 2))),
+    (series_id("o", m=2, n=0), ((1, 2), (3, 2), (7, 2))),
+    (series_id("p", k=0), ((1, 2), (3, 2))),
+    (series_id("q", m=2, n=0), ((1, 2), (5, 3))),
+    (series_id("q", m=3, n=0), ((1, 2), (7, 5))),
+    (series_id("r", n=0), ((1, 2), (4, 3))),
+]
+
+
+def test_intrinsic_pairs_of_published_forms_are_the_analyzers():
+    """The inversion formula takes each published form to the pairs the
+    analyzer reads at the point, with the same Milnor number; a form whose
+    first exponent exceeds n is left as it is."""
+    for sid, form in PUBLISHED_BELOW_N:
+        pairs = _intrinsic(form)
+        mu = milnor_from_pairs(list(form))
+        assert milnor_from_pairs(pairs) == mu, sid
+        [pa] = [e for e in singular_parameters(gen_series(sid)) if e.mu == mu]
+        assert pairs == pa.pairs and pa.n == pa.mult, sid
+    assert _intrinsic(((1, 2), (3, 2))) == [(5, 2)]
+    for form in (((3, 2),), ((7, 3),), ((3, 2), (7, 2)), ((3, 2), (7, 2), (15, 2))):
+        assert _intrinsic(form) == list(form)
+    assert _intrinsic(()) == []
 
 
 def test_list_series_covers_all_letters():

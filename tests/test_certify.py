@@ -26,7 +26,7 @@ from annuli.curves import ParametricCurve, apply_automorphism, classify_type, ex
 from annuli.laurent import LaurentPoly, from_dense, poly_gcd, resultant, squarefree_part, to_dense
 from annuli.local import milnor_from_pairs, scan_chain, singular_parameters
 from annuli.reports import analyze_curve
-from annuli.rings import SCALARS, BranchState, explore_branches, quotient_gcd
+from annuli.rings import SCALARS, BranchState, Quotient, explore_branches, quotient_gcd, ring_pow
 from annuli.scalars import Scalar
 from annuli.series import TS
 
@@ -96,6 +96,62 @@ def test_random_laurent_curve_self_intersects_with_verified_witnesses():
     for w in cert.witnesses:
         assert verify_witness(c, w)
         assert w.point is not None
+
+
+def _point_at_witness(curve: ParametricCurve, w) -> dict:
+    """(x(t), y(t)) at a root t of t^2 - u t + v over the witness tower, read
+    directly: both values are symmetric in t, t', so they lie in the tower."""
+
+    def fn(st: BranchState):
+        ring, u, v = certify._witness_tower(st, w)
+        L = Quotient(ring, [v, ring.neg(u), ring.one()], "wt")
+        point = {}
+        for name, f in (("x", curve.phi), ("y", curve.psi)):
+            val = L.zero()
+            for e, c in f.coeffs.items():
+                val = L.add(val, L.mul(L.from_scalar(c), ring_pow(L, L.gen(), e)))
+            assert ring.is_zero(val[1])
+            point[name] = ring.to_repr(val[0])
+        return point
+
+    return explore_branches(fn)[0]
+
+
+def test_witness_point_is_the_double_point_of_the_input_curve():
+    """t = +-sqrt(2/3) both map to (1/2, -1/3); the curve with its constants
+    stripped, which the certificate works on, has its double point at (0, 2/3)."""
+    c = ParametricCurve(t(1) * -3 - 1 + t(-1) * 2 + t(-2), t(2) - 1)
+    [w] = injectivity_certificate(c).witnesses
+    assert w.point == {"x": "1/2", "y": "-1/3"} == _point_at_witness(c, w)
+    assert verify_witness(c, w)
+    w.point = {"x": "0", "y": "2/3"}
+    assert not verify_witness(c, w)
+
+
+def test_witness_points_of_random_curves_lie_on_the_input_curve():
+    """Seeded random Laurent curves with constant terms and one-root
+    components, so that most certificates strip or reduce before they decide."""
+    rng = random.Random(20261020)
+    checked = shifted = 0
+    for _ in range(40):
+        comps = []
+        for _ in range(2):
+            if rng.random() < 0.3:
+                comp = (t(1) - rng.choice((1, 2, -1))) ** rng.randint(1, 3) * t(rng.randint(-2, 0)) * rng.choice((1, -2))
+            else:
+                bot, top = rng.randint(-3, -1), rng.randint(1, 3)
+                comp = LaurentPoly({e: Scalar(rng.randint(-3, 3) or 1) for e in range(bot, top + 1) if e in (bot, top) or rng.random() < 0.4})
+            comps.append(comp + rng.randint(-2, 2))
+        c = ParametricCurve(*comps)
+        cert = injectivity_certificate(c)
+        for w in cert.witnesses:
+            if isinstance(w, dict) or not w.u_poly:
+                continue
+            assert w.point == _point_at_witness(c, w), c
+            assert verify_witness(c, w)
+            checked += 1
+            shifted += bool(cert.reduction_moves) or not c.phi[0].is_zero() or not c.psi[0].is_zero()
+    assert checked >= 20 and shifted >= 10, (checked, shifted)
 
 
 def test_double_point_system_is_the_symmetric_difference_quotient():

@@ -69,6 +69,27 @@ def test_singular_locus_item_s_smooth():
     assert locus_summary(series_id("s", n=1)) == []
 
 
+def _point_invariants(curve) -> list:
+    return sorted(
+        (e.mu, e.mult, e.pairs, e.nu, e.extnu) for e in singular_parameters(curve) for _ in range(e.orbit)
+    )
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_point_invariants_survive_automorphisms_of_the_plane(seed):
+    """An automorphism of C^2 keeps every singularity: each image of a grid
+    member under a random swap, then y -> y + a x^l + b, has its source's
+    multiset of (mu, mult, pairs, nu, extnu), whichever coordinate has the
+    smaller order at each point."""
+    rng = random.Random(f"automorphism images {seed}")
+    for sid in rng.sample(default_grid(), 40):
+        c = gen_series(sid)
+        x, y = (c.psi, c.phi) if rng.random() < 0.5 else (c.phi, c.psi)
+        a, l, b = rng.choice((-2, -1, 1, 2)), rng.randint(1, 3), rng.randint(-2, 2)
+        image = ParametricCurve(x, y + x**l * a + LaurentPoly.const(b))
+        assert _point_invariants(image) == _point_invariants(c), (str(sid), a, l, b)
+
+
 def test_locus_item_b_a4_at_half():
     entries = locus_summary(series_id("b", k=1, m=2))
     assert entries == [("t - 1/2", 1, 2, [(5, 2)], 4, 2, 2)]
@@ -728,7 +749,7 @@ def test_the_point_bound_holds_off_annuli(monkeypatch):
     cusp = ParametricCurve(u**3 + 1, u**2 + u**3 * 2 + 1)
     assert cusp.phi == t(3) - t(2) * 3 + t(1) * 3 and delta_max(exponent_profile(cusp)) == -2
     [pa] = local.local_puiseux(cusp, u)
-    assert (pa.n, pa.mu) == (3, 2)
+    assert (pa.n, pa.mu, pa.pairs) == (2, 2, [(3, 2)])
     assert [(need, largest) for _, need, largest in rows] == [(4, 10)]
     for curve in _off_annulus_curves(12):
         assert exponent_profile(curve).r < 0 and exponent_profile(curve).s < 0
