@@ -61,6 +61,13 @@ WORKLOAD = textwrap.dedent(
     injectivity_certificate(c)
     out["injectivity_q31"] = round(time.time() - t0, 3)
 
+    # a self-intersecting random curve: linear fiber gcds over Q[v]/(m) with
+    # deg m = 30, and its witness point evaluated in that ring
+    c = ParametricCurve(LaurentPoly({1: 1, -4: 1, -5: -2}), LaurentPoly({5: 3, 3: 2, 2: 1, -4: 2}))
+    t0 = time.time()
+    injectivity_certificate(c)
+    out["injectivity_witness"] = round(time.time() - t0, 3)
+
     # the semigroup oracle at a rational point, with the grid check's bound
     c = gen_series(series_id("q", m=2, n=1))
     point = make_poly(-1, 1)  # t - 1
@@ -125,8 +132,12 @@ WORKLOAD = textwrap.dedent(
 )
 
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
 def run(backend: str) -> dict:
-    env = dict(os.environ, ANNULI_SCALAR_BACKEND=backend)
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, ANNULI_SCALAR_BACKEND=backend, PYTHONPATH=path)
     proc = subprocess.run(
         [sys.executable, "-c", WORKLOAD], env=env, capture_output=True, text=True, check=True
     )

@@ -52,8 +52,8 @@ from .local import (
     singular_parameters,
     tangency_delta,
 )
-from .rings import BranchState, SCALARS, SplitEvent, dense_divexact, explore_branches, quotient_gcd
-from .scalars import Scalar
+from .rings import BranchState, Quotient, SCALARS, SplitEvent, dense_divexact, explore_branches, quotient_gcd
+from .scalars import ZERO, Scalar
 from .series import TS
 
 
@@ -268,6 +268,15 @@ def _fiber_check(D: UV, E: UV, modulus: LaurentPoly, prs: list) -> list:
 
     `prs` is ``uv_prs(D, E)``.  Returns a list of per-branch results: (None
     for all-diagonal/empty, or a Witness for an off-diagonal component).
+
+    A linear fiber gcd g = u + c over K = Q[v]/(m) is decided without Euclid
+    over K, as Euclid would decide it.  g is its own squarefree part, since
+    its gcd with g' = 1 inverts only 1.  Saturating g by the diagonal
+    u^2 - 4v inverts 1 and then x = c^2 - 4v, the remainder of u^2 - 4v by g.
+    If x is zero, g divides the diagonal and the branch is diagonal.
+    Otherwise :meth:`Quotient.inv` splits m on the monic gcd of m and x in
+    Q[v], or finds x a unit and leaves g as it is.  One :func:`poly_gcd` gives
+    that same split, so the split tree and the witnesses are Euclid's.
     """
     mod_dense = to_dense(modulus)
     chains = {(uv_deg(D), uv_deg(E)): prs}
@@ -278,6 +287,8 @@ def _fiber_check(D: UV, E: UV, modulus: LaurentPoly, prs: list) -> list:
         g = _fiber_gcd(K, m, D, E, chains)
         if len(g) <= 1:
             return None  # no genuine common solution above this branch
+        if len(g) == 2:
+            return _linear_fiber(K, m, g)
         gp = [K.mul(c, K.from_scalar(Scalar(i + 1))) for i, c in enumerate(g[1:])]
         gsf = quotient_gcd(K, g, gp)
         gsf = dense_divexact(K, g, gsf)
@@ -291,6 +302,19 @@ def _fiber_check(D: UV, E: UV, modulus: LaurentPoly, prs: list) -> list:
         return Witness(m, gsf, _upoly_repr(K, gsf))
 
     return explore_branches(fn)
+
+
+def _linear_fiber(K, m: LaurentPoly, g: list) -> Witness | None:
+    """Euclid's decision on the monic linear fiber gcd g = u + c over K = Q[v]/(m)."""
+    c = g[0]
+    x = K.sub(K.mul(c, c), K.mul(K.from_scalar(Scalar(4)), K.gen()))
+    if K.is_zero(x):
+        return None  # the fiber point lies on the diagonal u^2 = 4v
+    if K.as_scalar(x) is None:
+        h = poly_gcd(m, from_dense(list(x)))
+        if not h.is_constant():
+            raise SplitEvent("wv", tuple(to_dense(h)), tuple(to_dense(m.divexact(h))))
+    return Witness(m, g, _upoly_repr(K, g))
 
 
 def _fiber_gcd(K, m: LaurentPoly, D: UV, E: UV, chains: dict) -> list:
@@ -423,14 +447,17 @@ def _witness_point(curve: ParametricCurve, w: Witness) -> dict | None:
 
     The reduction moves and constant shifts keep every off-diagonal pair, so a
     witness of the reduced curve is a witness of the input, and `curve` is the input.
+    Negative powers need 1/v in K = Q[v]/(m), m = v_factor.  The eliminant is
+    shifted off v = 0 and m divides it, so m = m_0 + v q(v) with m_0 != 0, and
+    1/v = -q(v)/m_0 needs no Euclid: :func:`_sym_eval` inverts nothing, so
+    nothing splits.
     """
     if not w.u_poly:
         return None
 
     def fn(st: BranchState):
-        ring, u_val, v_val = _witness_tower(st, w)
-        x_val = _sym_eval(ring, curve.phi, u_val, v_val)
-        y_val = _sym_eval(ring, curve.psi, u_val, v_val)
+        ring, u_val, _ = _witness_tower(st, w)
+        x_val, y_val = _sym_eval(ring, u_val, (curve.phi, curve.psi))
         return {"x": ring.to_repr(x_val), "y": ring.to_repr(y_val)}
 
     res = explore_branches(fn)
@@ -451,25 +478,85 @@ def _witness_tower(st: BranchState, w: Witness) -> tuple:
     return ring, ring.gen(), ring.from_base(v)
 
 
-def _sym_eval(ring, f: LaurentPoly, u, v):
-    """(f(t) + f(t'))/2 via power sums for t + t' = u, t t' = v."""
-    if f.is_zero():
-        return ring.zero()
-    top = max(f.top(), 0)
-    bot = min(f.bot(), 0)
-    pows = {0: ring.from_scalar(Scalar(2)), 1: u}
-    for k in range(2, top + 1):
-        pows[k] = ring.sub(ring.mul(u, pows[k - 1]), ring.mul(v, pows[k - 2]))
-    if bot < 0:
-        vi = ring.inv(v)
-        ui = ring.mul(u, vi)
-        pows[-1] = ui
-        for k in range(2, -bot + 1):
-            pows[-k] = ring.sub(ring.mul(ui, pows[-(k - 1)]), ring.mul(vi, pows[-(k - 2)]))
-    acc = ring.zero()
-    for e, c in f.coeffs.items():
-        acc = ring.add(acc, ring.mul(ring.from_scalar(c), pows[e]))
-    return ring.mul(acc, ring.from_scalar(Scalar("1/2")))
+def _sym_eval(ring, u, fs) -> list:
+    """(f(t) + f(t'))/2 for each f in `fs`, where t + t' = u and t t' = v,
+    the generator of level "wv".
+
+    The power sums p_k = t^k + t'^k follow p_k = u p_(k-1) - v p_(k-2) and
+    are shared by every f; sum_k c_(-k) p_(-k) = sum_k c_(-k) p_k / v^k is
+    read by Horner in 1/v.
+    `ring` is K = Q[v]/(m), or a "wu" level over K: a Quotient generated by
+    u, or a LinearQuotient (its elements are K's).  A product by v and a
+    quotient by v (1/v = -q(v)/m_0 for m = m_0 + v q(v), m_0 != 0) cost
+    O(deg m) scalar operations per element of K.  So the only ring
+    products are u p_(k-1), each coefficient is scaled by its scalar
+    directly, and nothing is inverted.
+    """
+    K = ring.base if ring.key == "wu" else ring
+    mul_v, div_v, scale = _v_ops(K)
+    if ring is not K and isinstance(ring, Quotient):
+        # K[u]/(g): v lies in K and acts on each coefficient separately
+        k_mul_v, k_div_v, k_scale = mul_v, div_v, scale
+
+        def mul_v(x):
+            return tuple(map(k_mul_v, x))
+
+        def div_v(x):
+            return tuple(map(k_div_v, x))
+
+        def scale(x, c):
+            return tuple(k_scale(y, c) for y in x)
+
+    top = max((max(f.top(), -f.bot()) for f in fs if not f.is_zero()), default=0)
+    pows = [ring.from_scalar(Scalar(2)), u]
+    for _ in range(2, top + 1):
+        pows.append(ring.sub(ring.mul(u, pows[-1]), mul_v(pows[-2])))
+    half = Scalar("1/2")
+    out = []
+    for f in fs:
+        acc = ring.zero()
+        if f.is_zero():
+            out.append(acc)
+            continue
+        for k in range(-min(f.bot(), 0), 0, -1):
+            c = f[-k]
+            if not c.is_zero():
+                acc = ring.add(acc, scale(pows[k], c * half))
+            acc = div_v(acc)
+        for k in range(max(f.top(), 0) + 1):
+            c = f[k]
+            if not c.is_zero():
+                acc = ring.add(acc, scale(pows[k], c * half))
+        out.append(acc)
+    return out
+
+
+def _v_ops(K) -> tuple:
+    """(x -> v x, x -> x / v, (x, c) -> c x) on K = Q[v]/(m), v its generator."""
+    if not isinstance(K, Quotient):
+        # a linear m: K is the scalar field itself and v the nonzero root of m
+        v = K.gen()
+        vi = v.inv()
+        return (lambda x: x * v), (lambda x: x * vi), (lambda x, c: x * c)
+    m, n = K.mod, K.deg
+    r = -m[0].inv()
+
+    def mul_v(x):
+        top = x[-1]
+        if top.is_zero():
+            return (ZERO, *x[:-1])
+        return (-top * m[0], *(x[i - 1] - top * m[i] for i in range(1, n)))
+
+    def div_v(x):
+        c = x[0] * r
+        if c.is_zero():
+            return (*x[1:], ZERO)
+        return (*(x[i] + c * m[i] for i in range(1, n)), c)
+
+    def scale(x, c):
+        return tuple(y * c for y in x)
+
+    return mul_v, div_v, scale
 
 
 def verify_witness(curve: ParametricCurve, w: Witness) -> bool:

@@ -7,7 +7,8 @@
     annuli oracle delta <curve.json> --point "t^2+t+1" [--bound 60]
 
 Exit codes: 0 embedding / success, 3 non-embedding / failed verification,
-2 excluded or invalid parameters, 1 internal error.  A curve that does not resolve
+2 excluded or invalid parameters, 1 internal error or an exhausted budget
+(dynamic-evaluation branches, handsome-reduction moves).  A curve that does not resolve
 within its profile's precision bound is improperly parametrized: a typed ledger error.
 """
 
@@ -18,8 +19,10 @@ import sys
 
 from .catalog import ExcludedParams, PARAM_SPECS, default_grid, gen_series, list_series, series_id
 from .certify import BoundTooSmall, LedgerMismatch, oracle_delta_at_factor
+from .curves import NonTermination
 from .io import ParseError, emit_curve_file, parse_curve_file, parse_point_factor
 from .reports import analyze_curve, report_json, verify_catalog_entry
+from .rings import BranchBudgetExceeded
 
 _PARAM_NAMES = ("k", "m", "n", "l", "p")
 
@@ -88,6 +91,9 @@ def main(argv=None) -> int:
         return 2
     except LedgerMismatch as exc:
         print(f"error: internal: {exc}", file=sys.stderr)
+        return 1
+    except (BranchBudgetExceeded, NonTermination) as exc:
+        print(f"error: budget: {exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:
         return 1

@@ -25,7 +25,7 @@ class Unclassifiable(ValueError):
 
 
 class NonTermination(RuntimeError):
-    """The reduction cap was hit; indicates a bug, not a valid outcome."""
+    """The reduction budget was spent; indicates a bug, not a valid outcome."""
 
 
 PLUS_PLUS = "PlusPlus"
@@ -268,6 +268,12 @@ def _handsome_matches(curve: ParametricCurve):
     return res
 
 
+def _reduction_cap(prof: ExponentProfile) -> int:
+    """The budget unit of :func:`reduce_to_handsome`: 8 of them bound the kill
+    moves it tries, 4 of them the curves of one BFS frontier."""
+    return 4 * (abs(prof.p) + abs(prof.q) + abs(prof.r) + abs(prof.s)) + 16
+
+
 def reduce_to_handsome(curve: ParametricCurve) -> Classification:
     """BFS over constant strips and elementary kills until a handsome row match.
 
@@ -279,14 +285,12 @@ def reduce_to_handsome(curve: ParametricCurve) -> Classification:
     pc = detect_nonprimitive(curve)
     if pc["kind"] == "PowerCover":
         raise Unclassifiable(f"curve is multiply covered (t^{pc['d']})")
-    pr0 = exponent_profile(curve)
-    mass = abs(pr0.p) + abs(pr0.q) + abs(pr0.r) + abs(pr0.s)
-    cap = 4 * mass + 16
+    cap = _reduction_cap(exponent_profile(curve))
     log0: list = []
     start = _strip_constants(curve, log0)
     frontier: list[tuple[ParametricCurve, list]] = [(start, log0)]
     seen = {start.key()}
-    explored = 0
+    explored = depth = 0
     while frontier:
         nxt: list[tuple[ParametricCurve, list]] = []
         for cur, lg in frontier:
@@ -298,7 +302,7 @@ def reduce_to_handsome(curve: ParametricCurve) -> Classification:
             for move in _kill_moves(cur):
                 explored += 1
                 if explored > cap * 8:
-                    raise NonTermination("handsome reduction cap exceeded")
+                    raise NonTermination(f"handsome reduction cap exceeded: {cap * 8} kill moves tried at depth {depth}")
                 c2 = apply_automorphism(cur, move)
                 lg2 = lg + [move]
                 c2 = _strip_constants(c2, lg2)
@@ -312,8 +316,9 @@ def reduce_to_handsome(curve: ParametricCurve) -> Classification:
                 seen.add(k)
                 nxt.append((c2, lg2))
         frontier = nxt
+        depth += 1
         if len(frontier) > cap * 4:
-            raise NonTermination("handsome reduction frontier explosion")
+            raise NonTermination(f"handsome reduction frontier explosion: {len(frontier)} curves at depth {depth}")
     raise Unclassifiable("no handsome representative found")
 
 

@@ -19,6 +19,7 @@ from .certify import (
     regularity_check,
 )
 from .curves import (
+    NonTermination,
     ParametricCurve,
     Unclassifiable,
     classify_type,
@@ -45,7 +46,7 @@ def analyze_curve(curve: ParametricCurve) -> tuple[dict, int]:
     try:
         cl = classify_type(curve)
         report["classification"] = cl.as_dict()
-    except Unclassifiable as exc:
+    except (Unclassifiable, NonTermination) as exc:
         cl = None
         report["classification"] = {"error": str(exc)}
 

@@ -47,6 +47,15 @@ class SplitEvent(Exception):
         self.f2 = f2
 
 
+class BranchBudgetExceeded(RuntimeError):
+    """Dynamic evaluation ran more than MAX_BRANCHES branches of one tree."""
+
+    def __init__(self, key: str | None, branches: int):
+        super().__init__(f"dynamic evaluation split explosion: {branches} branches, last split at level {key!r}")
+        self.key = key
+        self.branches = branches
+
+
 class ScalarField:
     """The base field Q(sqrt d); elements are plain Scalars."""
 
@@ -491,24 +500,31 @@ class BranchState:
         return Quotient(base, mod, key)
 
 
+MAX_BRANCHES = 10_000
+
+
 def explore_branches(fn: Callable[[BranchState], object], seed: BranchState | None = None) -> list:
     """Run fn on every branch of the dynamic-evaluation tree; returns results.
 
     fn receives a BranchState and must build its quotient rings through it.
     On SplitEvent the state forks and fn re-runs from scratch on both factors;
     results are returned in a deterministic (depth-first, f1-before-f2) order.
+    A tree that needs more than MAX_BRANCHES runs of fn raises
+    :class:`BranchBudgetExceeded`, naming the level of its last split.
     """
     out = []
     stack = [seed or BranchState()]
-    guard = 0
+    runs = 0
+    key = None
     while stack:
         st = stack.pop()
-        guard += 1
-        if guard > 10_000:
-            raise RuntimeError("dynamic evaluation split explosion")
+        if runs == MAX_BRANCHES:
+            raise BranchBudgetExceeded(key, runs)
+        runs += 1
         try:
             out.append(fn(st))
         except SplitEvent as ev:
+            key = ev.key
             stack.append(st.with_override(ev.key, ev.f2))
             stack.append(st.with_override(ev.key, ev.f1))
     return out

@@ -1,9 +1,13 @@
+import importlib.util
 import random
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from annuli._ratio import QQ
+from annuli import io
 from annuli.bipoly import double_point_system, poly_eval_ring, uv_deg, uv_eval_diag, uv_eval_ring, uv_prs
 from annuli.catalog import gen_series, series_id
 from annuli import certify
@@ -26,7 +30,17 @@ from annuli.curves import ParametricCurve, apply_automorphism, classify_type, ex
 from annuli.laurent import LaurentPoly, from_dense, poly_gcd, resultant, squarefree_part, to_dense
 from annuli.local import milnor_from_pairs, scan_chain, singular_parameters
 from annuli.reports import analyze_curve
-from annuli.rings import SCALARS, BranchState, Quotient, explore_branches, quotient_gcd, ring_pow
+from annuli.rings import (
+    SCALARS,
+    BranchState,
+    LinearQuotient,
+    Quotient,
+    SplitEvent,
+    dense_divexact,
+    explore_branches,
+    quotient_gcd,
+    ring_pow,
+)
 from annuli.scalars import Scalar
 from annuli.series import TS
 
@@ -306,6 +320,51 @@ def _euclid_fiber_gcd(st_, D, E, mod):
     return tuple(st_.modulus("wv", mod)), quotient_gcd(K, Du, Eu)
 
 
+def _euclid_fiber_check(D, E, m):
+    """(branch modulus, witness fields or None) per branch, as the fiber check
+    decided before linear fiber gcds were decided in Q[v]: the squarefree part
+    of the fiber gcd by Euclid over Q[v]/(m), then its saturation by the
+    diagonal u^2 = 4v."""
+    mod = to_dense(m)
+    chains = {(uv_deg(D), uv_deg(E)): uv_prs(D, E)}
+
+    def fn(st_: BranchState):
+        K = st_.quotient(SCALARS, "wv", mod)
+        mm = from_dense(st_.modulus("wv", mod))
+        g = _fiber_gcd(K, mm, D, E, chains)
+        res = None
+        if len(g) > 1:
+            gp = [K.mul(c, K.from_scalar(Scalar(i + 1))) for i, c in enumerate(g[1:])]
+            gsf = dense_divexact(K, g, quotient_gcd(K, g, gp))
+            diag = [K.neg(K.mul(K.from_scalar(Scalar(4)), K.gen())), K.zero(), K.one()]
+            h = quotient_gcd(K, gsf, diag)
+            if len(h) > 1:
+                gsf = dense_divexact(K, gsf, h)
+            if len(gsf) > 1:
+                res = (repr(mm), gsf, certify._upoly_repr(K, gsf))
+        return tuple(st_.modulus("wv", mod)), res
+
+    return explore_branches(fn)
+
+
+def _fiber_check_branches(D, E, m):
+    """`certify._fiber_check` with the modulus of each branch recorded."""
+    mod = to_dense(m)
+    moduli = []
+
+    def recording(fn):
+        def wrapped(st_):
+            res = fn(st_)
+            moduli.append(tuple(st_.modulus("wv", mod)))
+            return res
+
+        return explore_branches(wrapped)
+
+    with mock.patch.object(certify, "explore_branches", recording):
+        results = certify._fiber_check(D, E, m, uv_prs(D, E))
+    return [(mm, w if w is None else (repr(w.v_factor), w.u_poly, w.ring_repr)) for mm, w in zip(moduli, results)]
+
+
 @given(fiber_cases())
 @settings(max_examples=300, deadline=None)
 def test_fiber_gcd_makes_euclids_decisions(case):
@@ -318,6 +377,8 @@ def test_fiber_gcd_makes_euclids_decisions(case):
         return tuple(st_.modulus("wv", mod)), _fiber_gcd(K, from_dense(st_.modulus("wv", mod)), D, E, chains)
 
     assert explore_branches(walk) == explore_branches(lambda st_: _euclid_fiber_gcd(st_, D, E, mod))
+    # the fiber check, branch for branch: moduli, diagonal branches and witnesses
+    assert _fiber_check_branches(D, E, m) == _euclid_fiber_check(D, E, m)
     # every rational root of the specialized resultant is a root of the chain's
     # last element, where both leading coefficients stay nonzero
     if uv_deg(D) < 0 or uv_deg(E) < 0:
@@ -332,6 +393,135 @@ def test_fiber_gcd_makes_euclids_decisions(case):
             continue
         if resultant(Dr, Er).is_zero():
             assert last[0].eval(Scalar(r)).is_zero(), r
+
+
+def _v_poly(*roots):
+    p = LaurentPoly.const(1)
+    for r in roots:
+        p = p * _v_lin(r)
+    return p
+
+
+# D and E share the linear factor 3u - 2v - 4 and nothing else over any v:
+# on it, c^2 - 4v = 4 (v - 1)(v - 4) / 9 for c = -(2v + 4)/3
+_LIN = {1: LaurentPoly.const(3), 0: LaurentPoly({0: -4, 1: -2})}
+_LIN_D = _uv_mul(_LIN, {1: LaurentPoly.const(1), 0: LaurentPoly.const(1)})
+_LIN_E = _uv_mul(_LIN, {1: LaurentPoly.const(1), 0: LaurentPoly.const(-3)})
+
+
+@pytest.mark.parametrize(
+    "m, shape",
+    [
+        (_v_poly(1, 4), [None]),  # c^2 - 4v is zero modulo m: a diagonal branch
+        (_v_poly(2, 3), ["witness"]),  # a unit modulo m of degree 2
+        (_v_poly(1, 2, 4), [None, "witness"]),  # a zero divisor: m splits
+        (_v_poly(2, 3) * LaurentPoly({0: -2, 2: 1}), ["witness"]),  # degree 4 over Q
+    ],
+    ids=["diagonal", "unit", "zero-divisor", "degree-4"],
+)
+def test_linear_fiber_gcds_make_euclids_decisions(m, shape):
+    branches = _fiber_check_branches(_LIN_D, _LIN_E, m)
+    assert branches == _euclid_fiber_check(_LIN_D, _LIN_E, m)
+    assert [res if res is None else "witness" for _, res in branches] == shape
+    for _, res in branches:
+        if res is not None:
+            assert len(res[1]) == 2  # the fiber gcd is linear
+    if len(shape) == 2:
+        # the linear decision splits m on gcd(m, c^2 - 4v) = (v - 1)(v - 4)
+        K = Quotient(SCALARS, to_dense(m), "wv")
+        with pytest.raises(SplitEvent) as split:
+            certify._linear_fiber(K, m, _fiber_gcd(K, m, _LIN_D, _LIN_E, {}))
+        assert from_dense(list(split.value.f1)) == _v_poly(1, 4)
+        assert [from_dense(list(mm)) for mm, _ in branches] == [_v_poly(1, 4), _v_poly(2)]
+
+
+def _sym_eval_reference(ring, f: LaurentPoly, u, v):
+    """(f(t) + f(t'))/2 via power sums for t + t' = u, t t' = v, with
+    inverses and products in the ring: the witness image before it was
+    computed by products and quotients by v."""
+    if f.is_zero():
+        return ring.zero()
+    top = max(f.top(), 0)
+    bot = min(f.bot(), 0)
+    pows = {0: ring.from_scalar(Scalar(2)), 1: u}
+    for k in range(2, top + 1):
+        pows[k] = ring.sub(ring.mul(u, pows[k - 1]), ring.mul(v, pows[k - 2]))
+    if bot < 0:
+        vi = ring.inv(v)
+        ui = ring.mul(u, vi)
+        pows[-1] = ui
+        for k in range(2, -bot + 1):
+            pows[-k] = ring.sub(ring.mul(ui, pows[-(k - 1)]), ring.mul(vi, pows[-(k - 2)]))
+    acc = ring.zero()
+    for e, c in f.coeffs.items():
+        acc = ring.add(acc, ring.mul(ring.from_scalar(c), pows[e]))
+    return ring.mul(acc, ring.from_scalar(Scalar("1/2")))
+
+
+def _witness_rings(d: int, rnd: random.Random):
+    """(name, ring, u, v) on every kind of witness ring over Q(sqrt d): level
+    "wv" linear and of degree 3, and a "wu" level over each, of degree 2 and
+    split to linear."""
+
+    def coef():
+        b = rnd.randint(-2, 2) if d != 1 else 0
+        return Scalar(rnd.randint(-4, 4) or 1, b, d) if b else Scalar(rnd.randint(-4, 4) or 1)
+
+    def elem(K):
+        return K.add(K.from_scalar(coef()), K.mul(K.from_scalar(coef()), K.gen()))
+
+    root = Scalar(rnd.choice((-3, -1, 2, 5)), rnd.randint(1, 2) if d != 1 else 0, d)
+    cubic = [coef(), coef(), Scalar(0), Scalar(1)]  # m(0) != 0, as for every eliminant factor
+    out = []
+    for kname, K in (("linear", BranchState().quotient(SCALARS, "wv", [-root, Scalar(1)])), ("cubic", Quotient(SCALARS, cubic, "wv"))):
+        assert isinstance(K, LinearQuotient) == (kname == "linear")
+        v = K.gen()
+        out.append((f"{kname} wv", K, elem(K), v))
+        tower = BranchState().quotient(K, "wu", [elem(K), elem(K), K.one()])
+        assert isinstance(tower, Quotient)
+        out.append((f"{kname} wv, quadratic wu", tower, tower.gen(), tower.from_base(v)))
+        split = BranchState().quotient(K, "wu", [elem(K), K.one()])
+        assert isinstance(split, LinearQuotient) and split.key == "wu"
+        out.append((f"{kname} wv, linear wu", split, split.gen(), split.from_base(v)))
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_witness_image_equals_the_power_sums_with_inverses(d):
+    rnd = random.Random(20261020 + d)
+    kinds = set()
+    for _ in range(6):
+        for name, ring, u, v in _witness_rings(d, rnd):
+            fs = []
+            for _ in range(2):
+                bot, top = rnd.randint(-5, -1), rnd.randint(0, 6)
+                fs.append(LaurentPoly({e: Scalar(rnd.randint(-3, 3), rnd.randint(-1, 1) if d != 1 else 0, d) for e in range(bot, top + 1)}))
+            fs.append(LaurentPoly.zero())
+            got = certify._sym_eval(ring, u, fs)
+            assert got == [_sym_eval_reference(ring, f, u, v) for f in fs], name
+            kinds.add(name)
+    assert len(kinds) == 6
+
+
+def _refute_inputs(seed: int, scale: float) -> list:
+    """The curve files of the benchmark's `refute` workload at a reduced scale."""
+    path = Path(__file__).resolve().parent.parent / "annuli_bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [text for _, text in workloads.make_inputs("refute", seed, scale=scale)]
+
+
+def test_every_witness_of_a_refute_sample_verifies():
+    checked = 0
+    for text in _refute_inputs(3, 1 / 16):
+        c = io.parse_curve_file(text)
+        for w in injectivity_certificate(c).witnesses:
+            if isinstance(w, dict) or not w.u_poly:
+                continue
+            assert verify_witness(c, w), text
+            checked += 1
+    assert checked >= 10, checked
 
 
 def test_witness_transforms_with_automorphisms():

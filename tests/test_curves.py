@@ -1,11 +1,13 @@
 import pytest
 
+from annuli import curves as curves_module
 from annuli.catalog import gen_series, series_id
 from annuli.curves import (
     MINUS_MINUS,
     MINUS_PLUS,
     MIXED,
     PLUS_PLUS,
+    NonTermination,
     ParametricCurve,
     Unclassifiable,
     apply_automorphism,
@@ -17,6 +19,7 @@ from annuli.curves import (
     reduce_to_handsome,
 )
 from annuli.laurent import LaurentPoly
+from annuli.reports import analyze_curve
 from annuli.scalars import Scalar
 
 t = LaurentPoly.t
@@ -142,3 +145,20 @@ def test_symmetric_tricuspidal_form_is_family_w_frame():
     assert sym.phi - LaurentPoly.const(3) == w.phi
     assert (sym.psi - LaurentPoly.const(3)) * Scalar("1/2") == w.psi
     assert classify_type(sym).tag == MIXED
+
+
+def test_reduction_budget_gives_a_classification_error(monkeypatch):
+    """A curve that takes four kill moves to a handsome row, with no budget
+    for one: the report names the stop and keeps everything else."""
+    c = ParametricCurve(((t(1) - 1) ** 4).shift(-2), ((t(1) - 1) ** 2 * (t(1) + 1)).shift(-1))
+    want, code = analyze_curve(c)
+    assert len(classify_type(c).moves) == 4
+    monkeypatch.setattr(curves_module, "_reduction_cap", lambda prof: 0)
+    with pytest.raises(NonTermination, match="handsome reduction cap exceeded: 0 kill moves tried at depth 0"):
+        reduce_to_handsome(c)
+    report, code2 = analyze_curve(c)
+    assert report["classification"] == {"error": "handsome reduction cap exceeded: 0 kill moves tried at depth 0"}
+    assert code2 == code
+    assert {k: v for k, v in report.items() if k not in ("classification", "regularity")} == {
+        k: v for k, v in want.items() if k not in ("classification", "regularity")
+    }

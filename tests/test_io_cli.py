@@ -2,11 +2,11 @@ import json
 
 import pytest
 
-from annuli import cli
+from annuli import cli, rings
 from annuli.catalog import gen_series, series_id
 from annuli.certify import LedgerMismatch
 from annuli.cli import main
-from annuli.curves import ParametricCurve
+from annuli.curves import NonTermination, ParametricCurve
 from annuli.io import (
     ParseError,
     emit_curve_file,
@@ -233,3 +233,26 @@ def test_cli_analyze_reports_a_ledger_mismatch_as_an_internal_error(tmp_path, ca
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == "error: internal: injective certificate but no ledger\n"
+
+
+def test_budget_errors_are_error_lines(tmp_path, capsys, monkeypatch):
+    """An exhausted branch or reduction budget ends `annuli analyze` in an
+    `error: budget: ...` line and exit 1, not a traceback."""
+    narrow = ParametricCurve(((t(1) - 1) ** 4).shift(-2), ((t(1) - 1) ** 2 * (t(1) + 1)).shift(-1))
+    path = tmp_path / "narrow.json"
+    path.write_text(emit_curve_file(narrow))
+    assert main(["analyze", str(path)]) == 3
+    capsys.readouterr()
+    monkeypatch.setattr(rings, "MAX_BRANCHES", 1)
+    assert main(["analyze", str(path)]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: budget: dynamic evaluation split explosion: 1 branches, last split at level 'wv'\n"
+    monkeypatch.undo()
+
+    def stuck(curve):
+        raise NonTermination("handsome reduction cap exceeded: 0 kill moves tried at depth 0")
+
+    monkeypatch.setattr(cli, "analyze_curve", stuck)
+    assert main(["analyze", str(path)]) == 1
+    assert capsys.readouterr().err == "error: budget: handsome reduction cap exceeded: 0 kill moves tried at depth 0\n"

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import annuli
-from annuli import laurent
+from annuli import laurent, rings
 from annuli._ratio import QQ
 from annuli.laurent import LaurentPoly, poly_gcd, make_poly
 from annuli.rings import (
+    BranchBudgetExceeded,
     BranchState,
     LinearQuotient,
     NotDivisible,
@@ -297,3 +298,20 @@ def test_series_product_over_a_cubic_quotient_prints_as_the_reference():
     got = TS(R, 1, f).mul(TS(R, -2, g))
     assert (got.val, got.prec) == (-1, 4)
     assert got.to_repr() == TS(R, -1, schoolbook(R, f, g, 5)).to_repr()
+
+
+def test_branch_budget_is_a_typed_error_naming_the_level(monkeypatch):
+    """(v - 1)(v - 2) splits once at level "wv": three runs of fn."""
+
+    def fn(st):
+        mod = st.modulus("wv", [Scalar(2), Scalar(-3), Scalar(1)])
+        if len(mod) > 2:
+            raise SplitEvent("wv", (Scalar(-1), Scalar(1)), (Scalar(-2), Scalar(1)))
+        return mod
+
+    assert len(explore_branches(fn)) == 2
+    monkeypatch.setattr(rings, "MAX_BRANCHES", 2)
+    with pytest.raises(BranchBudgetExceeded, match="2 branches, last split at level 'wv'") as exc:
+        explore_branches(fn)
+    assert (exc.value.key, exc.value.branches) == ("wv", 2)
+    assert isinstance(exc.value, RuntimeError)
