@@ -68,6 +68,13 @@ WORKLOAD = textwrap.dedent(
     injectivity_certificate(c)
     out["injectivity_witness"] = round(time.time() - t0, 3)
 
+    # spans 9 and 10, above the benchmark's cap: a witness modulus of degree
+    # 58, whose fiber gcd is made monic by one inverse in Q[v]/(m)
+    c = ParametricCurve(LaurentPoly({6: -3, 2: 1, -2: -1, -4: -2, -5: -3}), LaurentPoly({8: -1, 7: 2, 5: 3, 4: 2, -2: -3}))
+    t0 = time.time()
+    injectivity_certificate(c)
+    out["injectivity_degree58"] = round(time.time() - t0, 3)
+
     # the semigroup oracle at a rational point, with the grid check's bound
     c = gen_series(series_id("q", m=2, n=1))
     point = make_poly(-1, 1)  # t - 1

@@ -21,7 +21,7 @@ from math import comb, lcm
 
 from ._ratio import QQ
 from .laurent import LaurentPoly, poly_gcd
-from .rings import int_convolve, int_divexact, ring_pow
+from .rings import int_convolve, int_divexact, int_trim, ring_pow
 from .scalars import Scalar, ZERO
 
 UV = dict  # {int: LaurentPoly in v}
@@ -143,7 +143,7 @@ def _uv_to_zz(F: UV) -> list:
             a[e] = int(c.a.numerator) * (den // int(c.a.denominator))
             if b:
                 b[e] = int(c.b.numerator) * (den // int(c.b.denominator))
-        out.append((_ztrim(a), _ztrim(b)))
+        out.append((int_trim(a), int_trim(b)))
     return out
 
 
@@ -179,19 +179,13 @@ def _zz_prem(a: list, b: list, d: int) -> list:
     return r
 
 
-def _ztrim(f: list) -> list:
-    while f and not f[-1]:
-        f.pop()
-    return f
-
-
 def _zadd(f: list, g: list) -> list:
     if len(f) < len(g):
         f, g = g, f
     out = list(f)
     for i, c in enumerate(g):
         out[i] += c
-    return _ztrim(out)
+    return int_trim(out)
 
 
 def _zneg(f: list) -> list:

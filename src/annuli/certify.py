@@ -379,11 +379,20 @@ def _lead_degree(m: LaurentPoly, F: UV, decide: bool = True) -> int:
 
 
 def _monic_upoly(K, F: UV, n: int) -> list:
-    """F up to u-degree n as a dense polynomial over K, made monic ([] if n < 0)."""
+    """F up to u-degree n as a dense polynomial over K, made monic ([] if n < 0).
+
+    On a :class:`Quotient` each coefficient is the class of its dense
+    coefficient list (one reduction modulo m; over Q on integers); a linear
+    m evaluates at its root.
+    """
     if n < 0:
         return []
-    v = K.gen()
-    cs = [poly_eval_ring(F.get(k, LaurentPoly.zero()), K, v) for k in range(n + 1)]
+    zero = LaurentPoly.zero()
+    if isinstance(K, Quotient):
+        cs = [K.from_dense(to_dense(F.get(k, zero))) for k in range(n + 1)]
+    else:
+        v = K.gen()
+        cs = [poly_eval_ring(F.get(k, zero), K, v) for k in range(n + 1)]
     inv = K.inv(cs[-1])
     return [K.mul(c, inv) for c in cs]
 

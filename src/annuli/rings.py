@@ -20,12 +20,22 @@ Euclidean :func:`quotient_gcd`), and the one power :func:`ring_pow` of a ring
 element.  Over :data:`SCALARS` it is the field kernel of
 :mod:`annuli.laurent`; :meth:`Quotient.mul` is :func:`dense_mul` over the
 base, reduced modulo the modulus.
+
+Q[s]/(m) with a rational m computes on integers instead.  m is kept as a
+primitive integer list M; an element over Q is cleared to integers over one
+common denominator.  A product is one :func:`int_convolve` and one
+fraction-free reduction by M (:func:`int_prem`).  An inverse or a zero
+decision is a primitive remainder sequence of M and the element over Z
+(Brown & Traub, J. ACM 1971) that carries the cofactor as one integer list
+over one integer denominator.  The monic gcd and the inverse are unique, so
+every value and every split equals the Euclidean one over Q.  Q(sqrt d)
+moduli and towers keep the generic code.
 """
 
 from __future__ import annotations
 
 from itertools import chain
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Callable
 
@@ -158,6 +168,43 @@ def int_convolve(f: list, g: list, n: int) -> list:
     return out
 
 
+def int_trim(f: list) -> list:
+    """Drop trailing zeros of the integer list f in place; returns f."""
+    while f and not f[-1]:
+        f.pop()
+    return f
+
+
+def int_prem(f: list, g: list, quotient: bool = False) -> tuple[int, list, list]:
+    """Fraction-free division of integer lists: (k, q, r) with k f = q g + r.
+
+    r has length at most deg g and is not trimmed.  Each step clears the top
+    coefficient c by the factor lc(g) / gcd(c, lc(g)), and k is the product
+    of those factors.  q is [] unless `quotient` is set.
+    """
+    f = list(f)
+    n, L = len(g) - 1, g[-1]
+    q = [0] * (len(f) - n) if quotient else []
+    k = 1
+    for top in range(len(f) - 1, n - 1, -1):
+        c = f[top]
+        if not c:
+            continue
+        h = gcd(c, L)
+        a, c = L // h, c // h
+        if a != 1:
+            k *= a
+            f[:top] = [v * a for v in f[:top]]
+            if quotient:
+                q = [v * a for v in q]
+        d = top - n
+        if quotient:
+            q[d] = c
+        for i in range(n):
+            f[d + i] -= c * g[i]
+    return k, q, f[:n]
+
+
 def int_divexact(f: list, g: list) -> list:
     """The quotient f / g of integer lists in Z[t]; NotDivisible when it is not exact there."""
     f = list(f)
@@ -194,10 +241,18 @@ class Quotient:
         self.mod = modulus
         self.deg = len(modulus) - 1
         self.key = key
+        # Q[s]/(m) over Q computes on integers: m as the primitive integer
+        # list M, with a positive leading coefficient (None over any other base)
+        self.imod = None
+        if base is SCALARS and all(c.d == 1 for c in modulus):
+            nums = _cleared(modulus, False)[0]
+            g = gcd(*nums)
+            self.imod = [c // g for c in nums]
 
     # -- representation ---------------------------------------------------------
 
-    def _wrap(self, cs: list) -> tuple:
+    def from_dense(self, cs: list) -> tuple:
+        """The class of the base polynomial cs (low -> high) modulo the modulus."""
         cs = list(cs)
         if len(cs) > self.deg:
             cs = self._reduce(cs)
@@ -205,7 +260,29 @@ class Quotient:
             cs.append(self.base.zero())
         return tuple(cs)
 
+    def _ints(self, xs) -> tuple | None:
+        """(numerators, common denominator) of xs on the integer path, else None."""
+        if self.imod is None or any(c.d != 1 for c in xs):
+            return None
+        nums, _, den = _cleared(xs, False)
+        return nums, den
+
+    def _from_ints(self, nums: list, den) -> tuple:
+        """The element sum_i (nums[i] / den) s^i of an integer list of length <= deg."""
+        out = [rational_scalar(QQ(c, den)) if c else ZERO for c in nums]
+        out.extend([ZERO] * (self.deg - len(out)))
+        return tuple(out)
+
+    def _int_reduce(self, P: list) -> tuple[list, int]:
+        """(R, k) with k P = R modulo M, len(R) <= deg: one fraction-free reduction."""
+        k, _, R = int_prem(P, self.imod)
+        return R, k
+
     def _reduce(self, cs: list) -> list:
+        ints = self._ints(cs)
+        if ints is not None:
+            R, k = self._int_reduce(ints[0])
+            return list(self._from_ints(R, ints[1] * k))
         b = self.base
         cs = list(cs)
         while len(cs) > self.deg:
@@ -218,20 +295,20 @@ class Quotient:
         return cs
 
     def zero(self):
-        return self._wrap([])
+        return self.from_dense([])
 
     def one(self):
-        return self._wrap([self.base.one()])
+        return self.from_dense([self.base.one()])
 
     def gen(self):
         """The adjoined root s."""
-        return self._wrap([self.base.zero(), self.base.one()])
+        return self.from_dense([self.base.zero(), self.base.one()])
 
     def from_scalar(self, c: Scalar):
-        return self._wrap([self.base.from_scalar(c)])
+        return self.from_dense([self.base.from_scalar(c)])
 
     def from_base(self, x):
-        return self._wrap([x])
+        return self.from_dense([x])
 
     # -- arithmetic ----------------------------------------------------------------
 
@@ -248,7 +325,13 @@ class Quotient:
         return tuple(b.sub(u, v) for u, v in zip(x, y))
 
     def mul(self, x, y):
-        return self._wrap(dense_mul(self.base, x, y))
+        a = self._ints(x)
+        b = self._ints(y) if a is not None else None
+        if b is not None:
+            (xs, xd), (ys, yd) = a, b
+            R, k = self._int_reduce(int_convolve(xs, ys, len(xs) + len(ys) - 1))
+            return self._from_ints(R, xd * yd * k)
+        return self.from_dense(dense_mul(self.base, x, y))
 
     def convolve(self, f: list, g: list, n: int) -> list:
         """The first n coefficients of the product of coefficient lists f and g.
@@ -268,7 +351,7 @@ class Quotient:
             return [c for x in xs[:n] for c in chain(x, pad)]
 
         flat = self.base.convolve(rows(f), rows(g), n * w)
-        return [self._wrap(flat[k * w : (k + 1) * w]) for k in range(n)]
+        return [self.from_dense(flat[k * w : (k + 1) * w]) for k in range(n)]
 
     def is_zero(self, x) -> bool:
         """Structural zero test (exact for reduced elements; never splits)."""
@@ -281,6 +364,10 @@ class Quotient:
         if all(b.is_zero(c) for c in x):
             return True
         # nonzero representative: certify it is a unit on every branch, else split
+        ints = self._ints(x)
+        if ints is not None:
+            self._int_euclid(ints[0], cofactor=False)
+            return False
         g = quotient_gcd(b, self.mod, x)
         if len(g) == 1:
             return False
@@ -300,15 +387,59 @@ class Quotient:
         b = self.base
         if all(b.is_zero(c) for c in x):
             raise DivisionByZero("inverse of zero in quotient ring")
+        ints = self._ints(x)
+        if ints is not None:
+            T, e = self._int_euclid(ints[0], cofactor=True)
+            return self._from_ints([ints[1] * c for c in T], e)
         g, s = self._half_xgcd(list(self.mod), list(x))
         if len(g) == 1:
             ginv = b.inv(g[0])
-            return self._wrap([b.mul(c, ginv) for c in s])
+            return self.from_dense([b.mul(c, ginv) for c in s])
         if len(g) == len(self.mod):
             raise DivisionByZero("inverse of zero in quotient ring")
         raise SplitEvent(self.key, tuple(g), tuple(dense_divexact(b, self.mod, g)))
 
     # -- polynomial helpers over the base ------------------------------------------
+
+    def _int_euclid(self, X: list, cofactor: bool) -> tuple[list, int] | None:
+        """Decide the integer list X (not zero modulo M) by a primitive
+        remainder sequence of M and X over Z.
+
+        A nonconstant gcd splits the modulus on its monic form g:
+        SplitEvent(key, g, m / g), as the Euclidean gcd over Q splits, since
+        the monic gcd is unique.  Otherwise X is a unit; with `cofactor` the
+        result is (T, e), an integer list of length at most deg M (the
+        Euclidean cofactor's degree bound) and a nonzero integer with
+        T X = e modulo M, and None without.  Each remainder r_i keeps such a
+        pair for e_i r_i = T_i X, and (T_i, e_i) is kept in lowest terms.
+        """
+        r0, r1 = self.imod, int_trim(list(X))
+        c = gcd(*r1)
+        r1 = [v // c for v in r1]
+        T0, e0, T1, e1 = [], 1, [1], c
+        while len(r1) > 1:
+            k, q, r = int_prem(r0, r1, quotient=cofactor)
+            int_trim(r)
+            if not r:
+                g = [rational_scalar(QQ(v, r1[-1])) for v in r1]
+                f = int_divexact(self.imod, r1)
+                raise SplitEvent(self.key, tuple(g), tuple(rational_scalar(QQ(v, f[-1])) for v in f))
+            c = gcd(*r)
+            r0, r1 = r1, [v // c for v in r]
+            if cofactor:
+                # e r = k (E / e0) T0 X - (E / e1) q T1 X  with E = lcm(e0, e1)
+                E = lcm(e0, e1)
+                a, b = k * (E // e0), E // e1
+                qT = int_convolve(q, T1, len(q) + len(T1) - 1)
+                T = [a * u for u in T0] + [0] * (len(qT) - len(T0))
+                for i, v in enumerate(qT):
+                    T[i] -= b * v
+                int_trim(T)
+                h = gcd(E * c, *T)
+                T0, e0, T1, e1 = T1, e1, [v // h for v in T], E * c // h
+        if cofactor:
+            return T1, e1 * r1[0]
+        return None
 
     def _half_xgcd(self, a: list, bb: list) -> tuple[list, list]:
         """Monic gcd of a, bb over base plus Bezout coefficient for bb.

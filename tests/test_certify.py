@@ -1,5 +1,6 @@
 import importlib.util
 import random
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -522,6 +523,24 @@ def test_every_witness_of_a_refute_sample_verifies():
             assert verify_witness(c, w), text
             checked += 1
     assert checked >= 10, checked
+
+
+def test_degree_39_witness_certifies_and_verifies_in_bounded_time():
+    """Q[v]/(m) over Q computes on integers: the inverse that makes the fiber
+    gcd monic and verify_witness's zero decisions take no Euclid on Fractions."""
+    t = LaurentPoly.t
+    c = ParametricCurve(
+        t(6) * -3 + t(1) * -2 + t(-2),
+        t(8) * -1 + t(5) * -3 + t(4) * 2 + t(1) * -3 + t(-1) + t(-2) + t(-4) * 3,
+    )
+    start = time.process_time()
+    cert = injectivity_certificate(c)
+    ok = [verify_witness(c, w) for w in cert.witnesses]
+    elapsed = time.process_time() - start
+    assert cert.verdict == "SelfIntersection"
+    assert [w.v_factor.top() for w in cert.witnesses] == [39]
+    assert ok == [True]
+    assert elapsed < 2.0, f"certificate and verification took {elapsed:.2f} s of CPU time"
 
 
 def test_witness_transforms_with_automorphisms():

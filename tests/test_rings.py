@@ -240,7 +240,7 @@ def quotient_over(base, elems, mod_elems, deg):
     """(base[s]/(monic modulus of degree deg), strategy for its elements)."""
     mod = mod_elems + [base.one()]
     R = Quotient(base, mod, "pt")
-    return R, st.lists(elems, min_size=deg, max_size=deg).map(R._wrap)
+    return R, st.lists(elems, min_size=deg, max_size=deg).map(R.from_dense)
 
 
 def _small(d):
@@ -315,3 +315,137 @@ def test_branch_budget_is_a_typed_error_naming_the_level(monkeypatch):
         explore_branches(fn)
     assert (exc.value.key, exc.value.branches) == ("wv", 2)
     assert isinstance(exc.value, RuntimeError)
+
+
+# -- Q[s]/(m) on integers, against the Fraction reference ------------------------
+
+
+def _reference_reduce(mod, cs):
+    """cs modulo the monic list mod, one Fraction coefficient at a time."""
+    cs, n = list(cs), len(mod) - 1
+    while len(cs) > n:
+        c = cs.pop()
+        for i in range(n):
+            cs[len(cs) - n + i] = cs[len(cs) - n + i] - c * mod[i]
+    return tuple(cs + [Scalar(0)] * (n - len(cs)))
+
+
+def _reference_euclid(mod, x):
+    """(monic gcd of mod and x, s with s x = gcd modulo mod): Euclid over Q."""
+    r0, r1 = list(mod), rings.trim(SCALARS, list(x))
+    s0, s1 = [], [Scalar(1)]
+    while r1:
+        q, r = rings.dense_divmod(SCALARS, r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, rings.dense_sub(SCALARS, s0, dense_mul(SCALARS, q, s1))
+    inv = r0[-1].inv()
+    return [c * inv for c in r0], [c * inv for c in s0]
+
+
+def _reference_inv(R, x):
+    if not any(x):
+        raise DivisionByZero("inverse of zero")
+    g, s = _reference_euclid(R.mod, x)
+    if len(g) > 1:
+        raise SplitEvent(R.key, tuple(g), tuple(dense_divexact(SCALARS, R.mod, g)))
+    return _reference_reduce(R.mod, s)
+
+
+def _reference_convolve(R, f, g, n):
+    out = []
+    for k in range(n):
+        acc = R.zero()
+        for i in range(max(0, k - len(g) + 1), min(k + 1, len(f))):
+            acc = R.add(acc, _reference_reduce(R.mod, dense_mul(SCALARS, f[i], g[k - i])))
+        out.append(acc)
+    return out
+
+
+def _outcome(op, *args):
+    try:
+        return "value", op(*args)
+    except SplitEvent as ev:
+        return "split", ev.key, ev.f1, ev.f2
+    except DivisionByZero:
+        return "zero"
+
+
+def _rational_poly(deg, coeffs=st.tuples(st.integers(-40, 40), st.integers(1, 9))):
+    """Lists of deg + 1 rationals with a nonzero leading coefficient."""
+    lead = st.tuples(st.integers(-40, 40).filter(bool), st.integers(1, 9))
+    return st.tuples(st.lists(coeffs, min_size=deg, max_size=deg), lead).map(
+        lambda cl: [Scalar(QQ(*c)) for c in cl[0] + [cl[1]]]
+    )
+
+
+@st.composite
+def rational_quotients(draw, lo=2, hi=12):
+    """A Quotient over Q whose modulus has rational, non-monic coefficients."""
+    mod = draw(_rational_poly(draw(st.integers(lo, hi))))
+    return Quotient(SCALARS, mod, "wv")
+
+
+def _elements(R):
+    return st.lists(scalars_in(1), min_size=R.deg, max_size=R.deg).map(tuple)
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_integer_quotient_arithmetic_matches_the_fraction_reference(data):
+    R = data.draw(rational_quotients(), label="R")
+    assert R.imod is not None and R.imod[-1] > 0
+    x, y = data.draw(_elements(R), label="x"), data.draw(_elements(R), label="y")
+    assert R.mul(x, y) == _reference_reduce(R.mod, dense_mul(SCALARS, x, y))
+    long = data.draw(st.lists(scalars_in(1), max_size=3 * R.deg), label="long")
+    assert R.from_dense(long) == _reference_reduce(R.mod, long)
+    f = data.draw(st.lists(_elements(R), max_size=4), label="f")
+    g = data.draw(st.lists(_elements(R), max_size=4), label="g")
+    n = data.draw(st.integers(1, len(f) + len(g) + 1), label="n")
+    assert R.convolve(f, g, n) == _reference_convolve(R, f, g, n)
+    ref = _outcome(_reference_inv, R, x)
+    assert _outcome(R.inv, x) == ref
+    assert _outcome(R.decide_zero, x) == (ref if ref[0] == "split" else ("value", ref == "zero"))
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_integer_quotient_splits_planted_zero_divisors_as_euclid(data):
+    p = data.draw(_rational_poly(data.draw(st.integers(1, 6))), label="p")
+    q = data.draw(_rational_poly(data.draw(st.integers(1, 6))), label="q")
+    R = Quotient(SCALARS, dense_mul(SCALARS, p, q), "wv")
+    r = data.draw(_rational_poly(data.draw(st.integers(0, len(q) - 2))), label="r")
+    x = R.from_dense(dense_mul(SCALARS, p, r))  # p r, not zero since deg r < deg q
+    ref = _outcome(_reference_inv, R, x)
+    assert ref[0] == "split"
+    assert _outcome(R.inv, x) == ref
+    assert _outcome(R.decide_zero, x) == ref
+    assert _outcome(R.inv, R.zero()) == "zero"
+    assert R.decide_zero(R.zero()) is True
+
+
+def test_rational_moduli_run_no_fraction_euclid(monkeypatch):
+    """The Fraction Euclid `_half_xgcd` runs over Q(sqrt d) moduli and towers only."""
+    from annuli.certify import injectivity_certificate, verify_witness
+    from annuli.curves import ParametricCurve
+
+    calls = []
+    euclid = Quotient._half_xgcd
+
+    def spy(self, a, b):
+        calls.append("rational" if self.base is SCALARS and all(c.d == 1 for c in self.mod) else "other")
+        return euclid(self, a, b)
+
+    monkeypatch.setattr(Quotient, "_half_xgcd", spy)
+    R = Quotient(SCALARS, [Scalar(QQ(-7, 3)), Scalar(2), Scalar(0), Scalar(QQ(5, 2))], "wv")
+    x = R.from_dense([Scalar(QQ(1, 4)), Scalar(-3), Scalar(QQ(2, 7))])
+    assert R.mul(R.inv(x), x) == R.one()
+    assert R.decide_zero(x) is False
+    # witnesses over Q[v]/(m) with deg m = 30: fiber gcds, their inverses and verification
+    c = ParametricCurve(LaurentPoly({1: 1, -4: 1, -5: -2}), LaurentPoly({5: 3, 3: 2, 2: 1, -4: 2}))
+    cert = injectivity_certificate(c)
+    assert cert.verdict == "SelfIntersection" and all(verify_witness(c, w) for w in cert.witnesses)
+    assert "rational" not in calls
+    # a surd modulus keeps the Fraction Euclid
+    S = Quotient(SCALARS, [Scalar.sqrt_of(2), Scalar(0), Scalar(1)], "wv")
+    S.inv(S.gen())
+    assert calls[-1] == "other"
