@@ -61,6 +61,14 @@ WORKLOAD = textwrap.dedent(
     injectivity_certificate(c)
     out["injectivity_q31"] = round(time.time() - t0, 3)
 
+    # a tower image of the catalog, x = t^7 - t^6 with y of span 14: the
+    # certificate runs on the curve as given, and the subresultant chain
+    # takes most of it
+    c = gen_series(series_id("c", k=3, m=2, n=3))
+    t0 = time.time()
+    injectivity_certificate(c)
+    out["injectivity_tower_family"] = round(time.time() - t0, 3)
+
     # a self-intersecting random curve: linear fiber gcds over Q[v]/(m) with
     # deg m = 30, and its witness point evaluated in that ring
     c = ParametricCurve(LaurentPoly({1: 1, -4: 1, -5: -2}), LaurentPoly({5: 3, 3: 2, 2: 1, -4: 2}))

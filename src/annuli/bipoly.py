@@ -21,7 +21,7 @@ from math import comb, lcm
 
 from ._ratio import QQ
 from .laurent import LaurentPoly, poly_gcd
-from .rings import int_convolve, int_divexact, int_trim, ring_pow
+from .rings import int_convolve, int_divexact, int_trim
 from .scalars import Scalar, ZERO
 
 UV = dict  # {int: LaurentPoly in v}
@@ -248,10 +248,9 @@ def poly_eval_ring(p: LaurentPoly, ring, x):
 
 
 def uv_eval_ring(F: UV, ring, u_val, v_val):
-    """Evaluate a UV polynomial at ring elements (u_val, v_val)."""
+    """Evaluate a UV polynomial at ring elements (u_val, v_val), by Horner in u."""
     out = ring.zero()
-    for d, p in F.items():
-        if p.is_zero():
-            continue
-        out = ring.add(out, ring.mul(poly_eval_ring(p, ring, v_val), ring_pow(ring, u_val, d)))
+    zero = LaurentPoly.zero()
+    for d in range(uv_deg(F), -1, -1):
+        out = ring.add(ring.mul(out, u_val), poly_eval_ring(F.get(d, zero), ring, v_val))
     return out

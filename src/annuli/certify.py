@@ -8,10 +8,8 @@ of Q[v]/(M) the fiber gcd in u is read off the same chain: every
 zero-divisor decision of the Euclidean gcd over Q[v]/(M) is one gcd in Q[v]
 with a chain coefficient (dynamic evaluation, split on a zero divisor).  The
 squarefree part of the fiber gcd is then tested against the diagonal
-u^2 = 4v.  A span-reducing preprocessing multiplies or divides one
-component by the other when the latter has a single C*-root; such moves
-preserve the off-diagonal double-point set exactly, which keeps the eliminant
-small for the recursive catalog families.
+u^2 = 4v.  The system is built from the input curve as it is given, so every
+witness is a pair (u, v) of the input's own parameters.
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ from .curves import (
     dim_curv,
     exponent_profile,
 )
-from .laurent import LaurentPoly, NotDivisible, from_dense, poly_gcd, squarefree_part, to_dense
+from .laurent import LaurentPoly, from_dense, poly_gcd, squarefree_part, to_dense
 from .local import (
     ImproperParametrization,
     PlaceAnalysis,
@@ -193,74 +191,10 @@ class Witness:
 @dataclass
 class InjectivityCertificate:
     verdict: str  # "Injective" | "SelfIntersection"
-    witnesses: list
-    reduction_moves: list
+    witnesses: list  # Witness entries
 
     def as_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "witnesses": [w.as_dict() if isinstance(w, Witness) else w for w in self.witnesses],
-            "reduction_moves": self.reduction_moves,
-        }
-
-
-def _single_cstar_root(f: LaurentPoly) -> bool:
-    """True when f has at most one distinct root in C*."""
-    if f.is_constant():
-        return False
-    num = f.shift(-f.bot())
-    if num.is_constant():
-        return True
-    sf = squarefree_part(num)
-    return sf.top() <= 1
-
-
-def _span(f: LaurentPoly) -> int:
-    if f.is_zero() or f.is_constant():
-        return 0
-    return f.top() - f.bot()
-
-
-def _strip_const(f: LaurentPoly) -> LaurentPoly:
-    c = f[0]
-    return f - LaurentPoly.const(c) if not c.is_zero() else f
-
-
-# (name, the component with one C*-root, the component it changes, divide)
-_REDUCTION_MOVES = (("y*x", 0, 1, False), ("y/x", 0, 1, True), ("x*y", 1, 0, False), ("x/y", 1, 0, True))
-
-
-def _reduce_for_certificate(curve: ParametricCurve):
-    """Span-reducing, double-point-preserving normalization of (phi, psi).
-
-    When one component has a single distinct C*-root, multiplying or exactly
-    dividing the other component by it (plus dropping additive constants)
-    leaves the off-diagonal double-point set unchanged.
-    """
-    comps = (_strip_const(curve.phi), _strip_const(curve.psi))
-    moves = []
-    for _ in range(128):
-        best = None
-        cur_span = _span(comps[0]) + _span(comps[1])
-        single = [_single_cstar_root(f) for f in comps]
-        for name, src, dst, divide in _REDUCTION_MOVES:
-            if not single[src]:
-                continue
-            try:
-                cand = _strip_const(comps[dst].divexact(comps[src]) if divide else comps[dst] * comps[src])
-            except (NotDivisible, ZeroDivisionError):
-                continue
-            if cand.is_constant():
-                continue
-            new = (comps[0], cand) if dst else (cand, comps[1])
-            sp = _span(new[0]) + _span(new[1])
-            if sp < cur_span and (best is None or sp < best[0]):
-                best = (sp, name, new)
-        if best is None:
-            break
-        _, name, comps = best
-        moves.append(name)
-    return ParametricCurve(*comps), moves
+        return {"verdict": self.verdict, "witnesses": [w.as_dict() for w in self.witnesses]}
 
 
 def _fiber_check(D: UV, E: UV, modulus: LaurentPoly, prs: list) -> list:
@@ -412,12 +346,12 @@ def _upoly_repr(K, g: list) -> str:
 
 
 def injectivity_certificate(curve: ParametricCurve) -> InjectivityCertificate:
-    """Exact decision: does the curve have an off-diagonal double point?"""
-    reduced, moves = _reduce_for_certificate(curve)
-    D, E = double_point_system(reduced.phi, reduced.psi)
-    if not D or not E:
-        # one component constant after clearing: everything collapses
-        return InjectivityCertificate("SelfIntersection", [{"degenerate": True}], moves)
+    """Exact decision: does the curve have an off-diagonal double point?
+
+    Raises ConstantComponent when a component is constant.
+    """
+    curve.check_admissible()
+    D, E = double_point_system(curve.phi, curve.psi)
 
     # common content in v (vertical solution lines)
     c1, c2 = uv_content(D), uv_content(E)
@@ -426,7 +360,7 @@ def injectivity_certificate(curve: ParametricCurve) -> InjectivityCertificate:
         gc = gc.shift(-gc.bot())
         if not gc.is_constant():
             w = Witness(gc, [], "all u (common vertical component)")
-            return InjectivityCertificate("SelfIntersection", [w], moves)
+            return InjectivityCertificate("SelfIntersection", [w])
 
     prs = uv_prs(D, E)
     last = prs[-1]
@@ -436,28 +370,28 @@ def injectivity_certificate(curve: ParametricCurve) -> InjectivityCertificate:
         # D(2z, z^2) = z^(2a) phi'(z) is not zero.  So D = E = 0 on a curve of
         # pairs (u, v) off v = 0 and off the diagonal.
         w = Witness(LaurentPoly.const(1), [], "positive-dimensional common component")
-        return InjectivityCertificate("SelfIntersection", [w], moves)
+        return InjectivityCertificate("SelfIntersection", [w])
 
     # every root of Res_u(D, E) is a root of the last element; v = 0 is no pair
     R = last[0].shift(-last[0].bot())
     if R.is_constant():
-        return InjectivityCertificate("Injective", [], moves)
+        return InjectivityCertificate("Injective", [])
     M = squarefree_part(R)
     witnesses = [w for w in _fiber_check(D, E, M, prs) if w is not None]
     if witnesses:
         for w in witnesses:
             w.point = _witness_point(curve, w)
-        return InjectivityCertificate("SelfIntersection", witnesses, moves)
-    return InjectivityCertificate("Injective", [], moves)
+        return InjectivityCertificate("SelfIntersection", witnesses)
+    return InjectivityCertificate("Injective", [])
 
 
 def _witness_point(curve: ParametricCurve, w: Witness) -> dict | None:
     """Common image point of the witness pair on `curve`, evaluated exactly in the tower.
 
-    The reduction moves and constant shifts keep every off-diagonal pair, so a
-    witness of the reduced curve is a witness of the input, and `curve` is the input.
-    Negative powers need 1/v in K = Q[v]/(m), m = v_factor.  The eliminant is
-    shifted off v = 0 and m divides it, so m = m_0 + v q(v) with m_0 != 0, and
+    The certificate builds its double-point system from `curve` as given, so
+    the witness pair (u, v) is a pair of `curve`'s own parameters.  Negative
+    powers need 1/v in K = Q[v]/(m), m = v_factor.  The eliminant is shifted
+    off v = 0 and m divides it, so m = m_0 + v q(v) with m_0 != 0, and
     1/v = -q(v)/m_0 needs no Euclid: :func:`_sym_eval` inverts nothing, so
     nothing splits.
     """
