@@ -99,6 +99,27 @@ WORKLOAD = textwrap.dedent(
         analyze_place(c, "inf"), analyze_place(c, "0")
     out["place_surd"] = round(time.time() - t0, 3)
 
+    # the branch expansion of the subordinate coordinate at both places of
+    # every seed-1 `refute` curve, at the first window of a place analysis,
+    # and at the grid's widest place (the largest `largest_window`) at window 48
+    from annuli import io
+    from annuli.catalog import default_grid
+    from annuli.curves import exponent_profile
+    from annuli.local import PlaceNotAtInfinity, largest_window, place_subordinate_series
+    from annuli_bench.workloads import make_inputs
+
+    places = [(io.parse_curve_file(text), pl) for _, text in make_inputs("refute", 1) for pl in ("inf", "0")]
+    grid = [(gen_series(sid), pl) for sid in default_grid() for pl in ("inf", "0")]
+    widest = max(grid, key=lambda cp: largest_window(exponent_profile(cp[0]), cp[1]))
+    t0 = time.time()
+    for c, pl in places:
+        try:
+            place_subordinate_series(c, pl, 6)
+        except PlaceNotAtInfinity:
+            pass
+    place_subordinate_series(*widest, 48)
+    out["place_expansion"] = round(time.time() - t0, 3)
+
     # truncated series products: one integer convolution per coefficient ring
     f = TS(SCALARS, 0, [Scalar(ratio.QQ(i * i - 7, 2 * i + 3)) for i in range(64)])
     g = TS(SCALARS, 0, [Scalar(ratio.QQ(5 - 3 * i, i + 4)) for i in range(64)])
@@ -147,11 +168,12 @@ WORKLOAD = textwrap.dedent(
 )
 
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
 
 
 def run(backend: str) -> dict:
-    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    path = os.pathsep.join(p for p in (SRC, ROOT, os.environ.get("PYTHONPATH")) if p)
     env = dict(os.environ, ANNULI_SCALAR_BACKEND=backend, PYTHONPATH=path)
     proc = subprocess.run(
         [sys.executable, "-c", WORKLOAD], env=env, capture_output=True, text=True, check=True

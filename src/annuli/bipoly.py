@@ -160,20 +160,25 @@ def _uv_from_zz(f: list, d: int) -> UV:
 
 
 def _zz_prem(a: list, b: list, d: int) -> list:
-    """Pseudo-remainder lc(b)^(deg a - deg b + 1) a mod b in u, trimmed."""
+    """Pseudo-remainder lc(b)^(deg a - deg b + 1) a mod b in u, trimmed.
+
+    A monic b (lc(b) = 1) scales nothing, as in `rings.int_prem`.
+    """
     lc = b[-1]
+    monic = lc == ([1], [])
     db = len(b) - 1
     r = list(a)
     steps = len(a) - len(b) + 1
     while r and len(r) - 1 >= db:
         top, k = r[-1], len(r) - 1 - db
-        r = [_pmul(lc, c, d) for c in r]
+        if not monic:
+            r = [_pmul(lc, c, d) for c in r]
         for i, c in enumerate(b):
             r[k + i] = _psub(r[k + i], _pmul(top, c, d))
         while r and r[-1] == ([], []):
             r.pop()
         steps -= 1
-    if steps > 0 and r:
+    if steps > 0 and r and not monic:
         f = _ppow(lc, steps, d)
         r = [_pmul(f, c, d) for c in r]
     return r
@@ -249,8 +254,14 @@ def poly_eval_ring(p: LaurentPoly, ring, x):
 
 def uv_eval_ring(F: UV, ring, u_val, v_val):
     """Evaluate a UV polynomial at ring elements (u_val, v_val), by Horner in u."""
+    return uv_eval_u(F, ring, u_val, lambda p: poly_eval_ring(p, ring, v_val))
+
+
+def uv_eval_u(F: UV, ring, u_val, v_value):
+    """F at u = u_val by Horner in u, where v_value(p) is the value in `ring`
+    of each v-coefficient p of F."""
     out = ring.zero()
     zero = LaurentPoly.zero()
     for d in range(uv_deg(F), -1, -1):
-        out = ring.add(ring.mul(out, u_val), poly_eval_ring(F.get(d, zero), ring, v_val))
+        out = ring.add(ring.mul(out, u_val), v_value(F.get(d, zero)))
     return out

@@ -23,7 +23,7 @@ from .bipoly import (
     poly_eval_ring,
     uv_content,
     uv_deg,
-    uv_eval_ring,
+    uv_eval_u,
     uv_prs,
 )
 from .curves import (
@@ -421,6 +421,21 @@ def _witness_tower(st: BranchState, w: Witness) -> tuple:
     return ring, ring.gen(), ring.from_base(v)
 
 
+def _v_value(ring, v_val):
+    """The map p -> p(v) into `ring` for polynomials p in v, the generator of level "wv".
+
+    When that level is a :class:`Quotient` K, p(v) is the class of p's
+    coefficient list (one reduction modulo m; over Q on integers), lifted
+    into a "wu" level over K; else it is Horner's rule at v_val.
+    """
+    K = ring.base if ring.key == "wu" else ring
+    if not isinstance(K, Quotient):
+        return lambda p: poly_eval_ring(p, ring, v_val)
+    if ring is K:
+        return lambda p: K.from_dense(to_dense(p))
+    return lambda p: ring.from_base(K.from_dense(to_dense(p)))
+
+
 def _sym_eval(ring, u, fs) -> list:
     """(f(t) + f(t'))/2 for each f in `fs`, where t + t' = u and t t' = v,
     the generator of level "wv".
@@ -516,8 +531,9 @@ def verify_witness(curve: ParametricCurve, w: Witness) -> bool:
 
     def fn(st: BranchState):
         ring, u_val, v_val = _witness_tower(st, w)
-        okD = ring.decide_zero(uv_eval_ring(D, ring, u_val, v_val))
-        okE = ring.decide_zero(uv_eval_ring(E, ring, u_val, v_val))
+        v_value = _v_value(ring, v_val)
+        okD = ring.decide_zero(uv_eval_u(D, ring, u_val, v_value))
+        okE = ring.decide_zero(uv_eval_u(E, ring, u_val, v_value))
         disc = ring.sub(ring.mul(u_val, u_val), ring.mul(ring.from_scalar(Scalar(4)), v_val))
         off_diag = not ring.decide_zero(disc)
         return okD and okE and off_diag

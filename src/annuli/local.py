@@ -23,18 +23,22 @@ and both nonzero intersect it with {zeta^j = a/b}.
 Both sides expand a branch the same way, over the ring the branch already
 lives in.  `_standard_form` brings the base coordinate x = lead tau^v0
 (1 + h(tau)), of signed order v0, to x = lead sigma^v0 with sigma =
-tau (1 + h)^(1/v0), and reverts sigma(tau).  The power (1 + h)^(1/v0) comes
-from `TS.unit_power`, Miller's recurrence, which is also the package's series
-inverse and its (c + tau)^(-pole) at a point; for either sign of v0 no series
-is inverted.  Powers of ring elements (the coset automaton's zeta^j, the
-roots g^k) all go through `rings.ring_pow`.
-`_compose_laurent_series` then expands the other coordinate in sigma: a
-Laurent polynomial at a place, a truncated series at a finite point.  The
-standard form proper, x = (g sigma)^v0 with g^|v0| = lead, would multiply the
-sigma^k coefficient by the unit g^(-k sign v0): the same coefficients vanish,
-so the characteristic data need no root of lead.  Only the tangency automaton
-compares coefficient values across the two places; `_rooted_series` adjoins
-g there.
+tau (1 + h)^(1/v0), and reverts sigma(tau).  The reversion's Lagrange
+series tau / sigma(tau) = (1 + h)^(-1/v0) is one Miller recurrence
+(`TS.unit_power`, which is also the package's series inverse and its
+(c + tau)^(-pole) at a point), so for either sign of v0 no series is
+inverted.  `_compose_laurent_series` then expands the other coordinate in
+sigma: a Laurent polynomial at a place, a truncated series at a finite
+point.  Each of the three steps is a method of the branch's coefficient
+ring (`unit_power`, `reversion`, `compose`): on integers over Q and
+Q(sqrt d), so a place and a rational point expand on integers, and element
+by element over the quotient ring of a conjugate point.  Powers of ring
+elements (the coset automaton's zeta^j, the roots g^k) all go through
+`rings.ring_pow`.  The standard form proper, x = (g sigma)^v0 with
+g^|v0| = lead, would multiply the sigma^k coefficient by the unit
+g^(-k sign v0): the same coefficients vanish, so the characteristic data
+need no root of lead.  Only the tangency automaton compares coefficient
+values across the two places; `_rooted_series` adjoins g there.
 """
 
 from __future__ import annotations
@@ -459,26 +463,27 @@ def _laurent_to_ts(ring, f: LaurentPoly, window: int) -> TS:
 def _standard_form(dom: TS, v0: int) -> TS:
     """tau(sigma) over dom's own ring, such that dom(tau(sigma)) = lead sigma^v0.
 
-    `dom` = lead tau^v0 (1 + h) has signed order v0 != 0.  sigma(tau) =
-    tau (1 + h)^(1/v0), with the power from Miller's recurrence
-    (`TS.unit_power(1/v0)`, which inverts nothing), and tau(sigma) is its
-    reversion.  Nothing is adjoined; the tangency automaton, which compares
-    coefficient values across the two places, adjoins the root of lead itself
+    `dom` = lead tau^v0 (1 + h) has signed order v0 != 0, and sigma(tau) =
+    tau (1 + h)^(1/v0).  tau(sigma) is the reversion of sigma(tau), whose
+    Lagrange series tau / sigma(tau) = (1 + h)^(-1/v0) is one Miller
+    recurrence (`TS.unit_power` of lead (1 + h)): no series is inverted.
+    Nothing is adjoined; the tangency automaton, which compares coefficient
+    values across the two places, adjoins the root of lead itself
     (`_rooted_series`).
     """
-    unit = dom.shift(-v0).scale(dom.ring.inv(dom.coeff(v0)))  # 1 + h(tau)
-    return unit.unit_power(QQ(1, v0)).shift(1).reversion()
+    return dom.shift(-v0).unit_power(QQ(-1, v0)).reversion()
 
 
 def _compose_laurent_series(f, ring, inner: TS, window: int) -> TS:
     """f(inner) for a series `inner` of valuation 1 over `ring`.
 
     f is a Laurent polynomial over the scalars or a truncated series over
-    `ring`.  inner^k is the square of inner^h, h = k/2 rounded towards 0,
-    times inner (or its inverse when k < 0) for odd k, each kept to `window`
-    terms past its valuation; the powers met on the way are kept for later
-    exponents.  A truncated f is known only below f.prec, so its image is cut
-    back to O(sigma^f.prec).
+    `ring`.  Each power inner^e = sigma^e (inner / sigma)^e is known to
+    `window` terms past its valuation, or to the length of inner if that is
+    shorter (inner^0 = 1 to `window` terms), so the sum is known below the
+    least e + that length.  The ring's `compose` sums the terms.  A
+    truncated f is known only below f.prec, so its image is cut back to
+    O(sigma^f.prec).
     """
     if isinstance(f, TS):
         terms = [(f.val + i, c) for i, c in enumerate(f.cs) if not ring.is_zero(c)]
@@ -486,26 +491,14 @@ def _compose_laurent_series(f, ring, inner: TS, window: int) -> TS:
     else:
         terms = [(e, ring.from_scalar(f.coeffs[e])) for e in f.support()]
         cut = None
-    powers = {0: TS.one_term(ring, ring.one(), 0, window)}
-    inv = None
-    out = None
-    for e, c in terms:
-        if e < 0 and inv is None:
-            inv = inner.inv()
-        chain = [e]
-        while chain[-1] not in powers:
-            k = chain[-1]
-            chain.append(k // 2 if k > 0 else -(-k // 2))
-        for i in range(len(chain) - 2, -1, -1):
-            k, half = chain[i], powers[chain[i + 1]]
-            ts = half.mul(half)
-            if k % 2:
-                ts = ts.mul(inner if k > 0 else inv)
-            powers[k] = ts.truncate(ts.val + window)
-        term = powers[e].scale(c)
-        out = term if out is None else out.add(term)
-    if out is None:
+    if not terms:
         return TS.zero(ring, window if cut is None else cut)
+    if inner.val != 1:
+        raise ValueError("composition needs an inner series of valuation exactly 1")
+    n = min(window, len(inner.cs))
+    prec = min(e + (window if e == 0 else n) for e, _ in terms)
+    lo = min(terms[0][0], prec)
+    out = TS(ring, lo, ring.compose(terms, inner.cs[:n], lo, prec))
     return out if cut is None else out.truncate(cut)
 
 

@@ -30,12 +30,20 @@ decision is a primitive remainder sequence of M and the element over Z
 over one integer denominator.  The monic gcd and the inverse are unique, so
 every value and every split equals the Euclidean one over Q.  Q(sqrt d)
 moduli and towers keep the generic code.
+
+Every ring also carries the truncated-series kernels of :mod:`annuli.series`
+on coefficient lists: `convolve`, `unit_power` (Miller's recurrence),
+`reversion` (Lagrange inversion) and `compose`.  :class:`ScalarField` runs
+them on integers, Z[sqrt d] pairs over one common denominator per input
+(`_zz_*` helpers), with one rational per output coefficient;
+:class:`Quotient` runs them element by element; :class:`LinearQuotient`
+delegates to its base.
 """
 
 from __future__ import annotations
 
 from itertools import chain
-from math import gcd, lcm
+from math import gcd, isqrt, lcm, perm
 from operator import mul
 from typing import Callable
 
@@ -124,35 +132,226 @@ class ScalarField:
         if n <= 0:
             return []
         f, g = f[:n], g[:n]
-        d = 1
-        for x in chain(f, g):
-            if x.d != 1 and x.d != d:
-                if d != 1:
-                    raise FieldMismatch(f"cannot mix sqrt({d}) with sqrt({x.d})")
-                d = x.d
-        fa, fb, fden = _cleared(f, d != 1)
-        ga, gb, gden = _cleared(g, d != 1)
-        den = fden * gden
-        ac = int_convolve(fa, ga, n)
-        # a zero coefficient is the shared ZERO, not a fresh object: series are
-        # sparse and many products are kept
-        if d == 1:
-            return [rational_scalar(QQ(c, den)) if c else ZERO for c in ac]
-        bd = int_convolve(fb, gb, n)
-        mid = int_convolve([x + y for x, y in zip(fa, fb)], [x + y for x, y in zip(ga, gb)], n)
-        out = []
-        for p, q, m in zip(ac, bd, mid):
-            a, b = p + d * q, m - p - q
-            out.append(Scalar(QQ(a, den), QQ(b, den), d) if a or b else ZERO)
-        return out
+        d = _field_tag(chain(f, g))
+        F, fden = _cleared(f, d)
+        G, gden = _cleared(g, d)
+        return _zz_scalars(_zz_mul(F, G, n, d), fden * gden, d)
+
+    def unit_power(self, h: list, alpha) -> list:
+        """(h / h_0)^alpha to len(h) terms, for a unit h_0 and a rational alpha.
+
+        Miller's recurrence (Knuth, TAOCP vol. 2, 4.7) on integers.  With
+        h / h_0 = F / L for an integer list F, F_0 = L, and alpha = p / q, set
+        C_0 = 1 and C_k = sum_{j=1..k} ((p + q) j - q k) F_j C_{k-j}
+        (q L)^(j-1) (k-1)! / (k-j)!, over the nonzero F_j only; then
+        w_k = C_k / (q^k k! L^k).  Over Q(sqrt d) the F_j and C_k are pairs
+        over Z[sqrt d], and F is h cleared times the conjugate of its first
+        coefficient.  h is cleared once and each w_k is one rational.
+        """
+        n = len(h)
+        if not n:
+            return [ONE]
+        d = _field_tag(h)
+        (A, B), _ = _zz_rational_lead(_cleared(h, d)[0], d)
+        L, A, B = A[0], A[1:], B and B[1:]
+        p, q = alpha.numerator, alpha.denominator
+        ql = q * L
+        # (j, F_j, its surd part, (q L)^(j-1)) over the nonzero F_j
+        nz = [(j, a, b, ql ** (j - 1)) for j, (a, b) in enumerate(zip(A, B or [0] * len(A)), 1) if a or b]
+        ca, cb = [1], [0]
+        for k in range(1, n):
+            sa = sb = 0
+            for j, fa, fb, wt in nz:
+                if j > k:
+                    break
+                m = ((p + q) * j - q * k) * perm(k - 1, j - 1) * wt
+                if not m:
+                    continue
+                x, y = ca[k - j], cb[k - j]
+                if B is None:
+                    sa += m * fa * x
+                    continue
+                ax, by = fa * x, fb * y
+                sa += m * (ax + d * by)
+                sb += m * ((fa + fb) * (x + y) - ax - by)
+            ca.append(sa)
+            cb.append(sb)
+        dens = [1]
+        for k in range(1, n):
+            dens.append(dens[-1] * ql * k)
+        return _zz_scalars((ca, None if B is None else cb), dens, d)
+
+    def reversion(self, u: list) -> list:
+        """[t_1, ..., t_n] with t_j = [tau^(j-1)] u^j / j, n = len(u).
+
+        Lagrange inversion on integers: with u = U / D for an integer list U,
+        t_j = [tau^(j-1)] U^j / (j D^j), with no rational in between.  The
+        powers are integer lists truncated to n, by baby steps and giant
+        steps: for m = isqrt(n - 1) + 1 and j = i m + r, 0 <= r < m, the
+        coefficient of U^j is a dot product of U^(i m) and U^r, so about
+        2 sqrt(n) convolutions give all n of them.
+        """
+        n = len(u)
+        d = _field_tag(u)
+        U, D = _cleared(u, d)
+        m = isqrt(max(n - 1, 0)) + 1
+        one = ([1] + [0] * (n - 1), None if U[1] is None else [0] * n)
+        baby = [one, U]  # baby[r] = U^r for r < m
+        for _ in range(2, m):
+            baby.append(_zz_mul(baby[-1], U, n, d))
+        step = _zz_mul(baby[m - 1], U, n, d)  # U^m
+        giant = one  # U^(i m)
+        ta, tb, dens = [], [], []
+        for j in range(1, n + 1):
+            i, r = divmod(j, m)
+            if not r:
+                giant = step if i == 1 else _zz_mul(giant, step, n, d)
+            (ga, gb), (ba, bb) = giant, baby[r]
+            if gb is None:
+                ta.append(_zz_coeff(ga, ba, j - 1))
+            else:
+                ta.append(_zz_coeff(ga, ba, j - 1) + d * _zz_coeff(gb, bb, j - 1))
+                tb.append(_zz_coeff(ga, bb, j - 1) + _zz_coeff(gb, ba, j - 1))
+            dens.append(j * D**j)
+        return _zz_scalars((ta, tb if U[1] is not None else None), dens, d)
+
+    def compose(self, terms: list, unit: list, lo: int, prec: int) -> list:
+        """Coefficients lo .. prec - 1 of sum_e c_e sigma^e unit^e over (e, c_e) in terms.
+
+        Each power of unit is kept to len(unit) terms, which must cover
+        prec - e for every e != 0.  The powers of unit (of its inverse for
+        e < 0) are integer lists over one denominator each, from
+        :func:`_power_table`; the sum is taken over one common denominator
+        and each output coefficient is one rational.
+        """
+        n = len(unit)
+        cs = [c for _, c in terms]
+        d = _field_tag(chain(unit, cs))
+        (ca, cb), cden = _cleared(cs, d)
+        U, D = _cleared(unit, d)
+        table, den = {}, 1
+        for sign in (1, -1):
+            ks = {sign * e for e, _ in terms if sign * e > 0}
+            if not ks:
+                continue
+            Z, D = (U, D) if sign > 0 else _zz_inverse(U, D, n, d)
+            for k, zk in _power_table(ks, Z, lambda x, y: _zz_mul(x, y, n, d)).items():
+                table[sign * k] = zk, D**k
+            den = lcm(den, D ** max(ks))
+        out_a = [0] * (prec - lo)
+        out_b = None if cb is None else [0] * (prec - lo)
+        for i, (e, _) in enumerate(terms):
+            if e == 0:
+                if prec > 0:
+                    out_a[-lo] += ca[i] * den
+                    if out_b is not None:
+                        out_b[-lo] += cb[i] * den
+                continue
+            (za, zb), De = table[e]
+            f = den // De
+            a = ca[i] * f
+            if out_b is None:
+                for s in range(prec - e):
+                    out_a[e + s - lo] += a * za[s]
+                continue
+            b = cb[i] * f
+            for s in range(prec - e):
+                out_a[e + s - lo] += a * za[s] + d * b * zb[s]
+                out_b[e + s - lo] += a * zb[s] + b * za[s]
+        return _zz_scalars((out_a, out_b), cden * den, d)
 
 
-def _cleared(xs: list, surd: bool) -> tuple:
-    """(rational numerators, surd numerators or None, common denominator) of xs."""
+def _field_tag(xs) -> int:
+    """The field tag d shared by the scalars xs (1 when all are rational)."""
+    d = 1
+    for x in xs:
+        if x.d != 1 and x.d != d:
+            if d != 1:
+                raise FieldMismatch(f"cannot mix sqrt({d}) with sqrt({x.d})")
+            d = x.d
+    return d
+
+
+def _cleared(xs: list, d: int) -> tuple:
+    """((A, B), den) with xs = (A + B sqrt(d)) / den over one common
+    denominator den; the surd numerators B are None over Q (d = 1)."""
+    surd = d != 1
     parts = [x.a for x in xs] + ([x.b for x in xs] if surd else [])
     den = lcm(*{q.denominator for q in parts})
     nums = [q.numerator * (den // q.denominator) for q in parts]
-    return nums[: len(xs)], nums[len(xs):] if surd else None, den
+    return (nums[: len(xs)], nums[len(xs):] if surd else None), den
+
+
+def _zz_mul(x: tuple, y: tuple, n: int, d: int) -> tuple:
+    """The first n coefficients of the product of Z[sqrt d] lists x = (A, B)
+    and y, A + B sqrt(d) with B None over Q: one integer convolution over Q,
+    three (Karatsuba) over Z[sqrt d]."""
+    (a, b), (c, e) = x, y
+    ac = int_convolve(a, c, n)
+    if b is None:
+        return ac, None
+    be = int_convolve(b, e, n)
+    mid = int_convolve([s + t for s, t in zip(a, b)], [s + t for s, t in zip(c, e)], n)
+    return [p + d * q for p, q in zip(ac, be)], [m - p - q for m, p, q in zip(mid, ac, be)]
+
+
+def _zz_coeff(f: list, g: list, k: int) -> int:
+    """The coefficient of tau^k in the product of integer lists f and g (both longer than k)."""
+    return sum(map(mul, f[: k + 1], g[k::-1]))
+
+
+def _zz_rational_lead(x: tuple, d: int) -> tuple:
+    """(x c, c) for the conjugate c = (c_a, c_b) of x_0, so that (x c)_0 is
+    rational; c = (1, 0) when it already is."""
+    a, b = x
+    if b is None or not b[0]:
+        return x, (1, 0)
+    ca, cb = a[0], -b[0]
+    return ([u * ca + d * v * cb for u, v in zip(a, b)], [u * cb + v * ca for u, v in zip(a, b)]), (ca, cb)
+
+
+def _zz_inverse(x: tuple, den: int, n: int, d: int) -> tuple:
+    """(V, E) with V / E = den / x to n terms, for a Z[sqrt d] list x with x_0 != 0.
+
+    x times the conjugate c of x_0 has the rational leading term N = x_0 c,
+    and 1 / (x c) = sum_k X_k tau^k / N^(k+1) with X_0 = 1 and X_k =
+    -sum_{j=1..k} (x c)_j X_{k-j} N^(j-1): Miller's recurrence at alpha = -1,
+    divided through by k!.  So V = den c sum_k X_k N^(n-1-k) tau^k and
+    E = N^n.
+    """
+    (xa, xb), (ca, cb) = _zz_rational_lead(x, d)
+    xb = xb or [0] * len(xa)
+    N = xa[0]
+    # (j, (x c)_j, its surd part, N^(j-1)) over the nonzero (x c)_j
+    nz = [(j, u, v, N ** (j - 1)) for j, (u, v) in enumerate(zip(xa[1:n], xb[1:n]), 1) if u or v]
+    Xa, Xb = [1], [0]
+    for k in range(1, n):
+        sa = sb = 0
+        for j, u, v, wt in nz:
+            if j > k:
+                break
+            p, q = Xa[k - j], Xb[k - j]
+            sa -= wt * (u * p + d * v * q)
+            sb -= wt * (u * q + v * p)
+        Xa.append(sa)
+        Xb.append(sb)
+    scale = [den * N ** (n - 1 - k) for k in range(n)]
+    Va = [(ca * p + d * cb * q) * m for p, q, m in zip(Xa, Xb, scale)]
+    if x[1] is None:
+        return (Va, None), N**n
+    return (Va, [(ca * q + cb * p) * m for p, q, m in zip(Xa, Xb, scale)]), N**n
+
+
+def _zz_scalars(x: tuple, den, d: int) -> list:
+    """The scalars (A_i + B_i sqrt(d)) / den_i of x = (A, B), for one integer
+    den or a list of them; a zero is the shared ZERO."""
+    a, b = x
+    dens = den if isinstance(den, list) else [den] * len(a)
+    # a zero coefficient is the shared ZERO, not a fresh object: series are
+    # sparse and many products are kept
+    if b is None:
+        return [rational_scalar(QQ(p, q)) if p else ZERO for p, q in zip(a, dens)]
+    return [Scalar(QQ(p, q), QQ(s, q), d) if p or s else ZERO for p, s, q in zip(a, b, dens)]
 
 
 def int_convolve(f: list, g: list, n: int) -> list:
@@ -245,7 +444,7 @@ class Quotient:
         # list M, with a positive leading coefficient (None over any other base)
         self.imod = None
         if base is SCALARS and all(c.d == 1 for c in modulus):
-            nums = _cleared(modulus, False)[0]
+            nums = _cleared(modulus, 1)[0][0]
             g = gcd(*nums)
             self.imod = [c // g for c in nums]
 
@@ -264,7 +463,7 @@ class Quotient:
         """(numerators, common denominator) of xs on the integer path, else None."""
         if self.imod is None or any(c.d != 1 for c in xs):
             return None
-        nums, _, den = _cleared(xs, False)
+        (nums, _), den = _cleared(xs, 1)
         return nums, den
 
     def _from_ints(self, nums: list, den) -> tuple:
@@ -352,6 +551,72 @@ class Quotient:
 
         flat = self.base.convolve(rows(f), rows(g), n * w)
         return [self.from_dense(flat[k * w : (k + 1) * w]) for k in range(n)]
+
+    def unit_power(self, h: list, alpha) -> list:
+        """(h / h_0)^alpha to len(h) terms, for a unit h_0 and a rational alpha.
+
+        Miller's recurrence element by element: f w' = alpha f' w gives, with
+        f_0 = 1, k w_k = sum_{j=1..k} ((alpha + 1) j - k) h_j w_{k-j}.  It is
+        kept as two running sums, of j h_j w_{k-j} and of h_j w_{k-j}, over
+        the nonzero h_j only; at alpha = -1 the first sum has weight 0 and is
+        dropped.  Only an h_0 other than 1 is inverted, so only it can split.
+        """
+        if h and not self.eq(h[0], self.one()):
+            a0i = self.inv(h[0])
+            h = [self.one()] + [self.mul(a0i, c) for c in h[1:]]
+        a1 = QQ(alpha) + 1
+        nz = [j for j in range(1, len(h)) if not self.is_zero(h[j])]
+        jh = {j: self.mul(self.from_scalar(Scalar(j)), h[j]) for j in nz} if a1 else {}
+        w = [self.one()] + [self.zero()] * (len(h) - 1)
+        for k in range(1, len(h)):
+            s1 = s2 = self.zero()
+            for j in nz:
+                if j > k:
+                    break
+                s2 = self.add(s2, self.mul(h[j], w[k - j]))
+                if a1:
+                    s1 = self.add(s1, self.mul(jh[j], w[k - j]))
+            w[k] = self.sub(self.mul(self.from_scalar(Scalar(a1 / k)), s1), s2) if a1 else self.neg(s2)
+        return w
+
+    def reversion(self, u: list) -> list:
+        """[t_1, ..., t_n] with t_j = [tau^(j-1)] u^j / j, n = len(u): Lagrange
+        inversion with each power u^j one :meth:`convolve` truncated to n."""
+        n = len(u)
+        out = []
+        upow = u
+        for j in range(1, n + 1):
+            out.append(self.mul(upow[j - 1], self.from_scalar(Scalar(QQ(1, j)))))
+            if j < n:
+                upow = self.convolve(upow, u, n)
+        return out
+
+    def compose(self, terms: list, unit: list, lo: int, prec: int) -> list:
+        """Coefficients lo .. prec - 1 of sum_e c_e sigma^e unit^e over (e, c_e) in terms.
+
+        Each power of unit is kept to len(unit) terms, which must cover
+        prec - e for every e != 0.  The powers of unit (of its inverse for
+        e < 0, the only step that can split) come from :func:`_power_table`
+        over :meth:`convolve`, and each term is added element by element.
+        """
+        n = len(unit)
+        table = {}
+        for sign in (1, -1):
+            ks = {sign * e for e, _ in terms if sign * e > 0}
+            if ks:
+                base = unit if sign > 0 else series_inverse(self, unit)
+                for k, zk in _power_table(ks, base, lambda x, y: self.convolve(x, y, n)).items():
+                    table[sign * k] = zk
+        out = [self.zero()] * (prec - lo)
+        for e, c in terms:
+            if e == 0:
+                if prec > 0:
+                    out[-lo] = self.add(out[-lo], c)
+                continue
+            pw = table[e]
+            for s in range(prec - e):
+                out[e + s - lo] = self.add(out[e + s - lo], self.mul(c, pw[s]))
+        return out
 
     def is_zero(self, x) -> bool:
         """Structural zero test (exact for reduced elements; never splits)."""
@@ -481,6 +746,7 @@ class LinearQuotient:
     _BASE_OPS = (
         "zero", "one", "from_scalar", "add", "neg", "sub", "mul", "inv",
         "is_zero", "decide_zero", "eq", "as_scalar", "to_repr", "convolve",
+        "unit_power", "reversion", "compose",
     )
 
     def __init__(self, base, root, key: str):
@@ -540,6 +806,42 @@ def ring_pow(ring, x, k: int):
         if k:
             x = ring.mul(x, x)
     return out
+
+
+def series_inverse(ring, cs: list) -> list:
+    """The first len(cs) coefficients of 1 / sum_i cs[i] tau^i, cs[0] a unit.
+
+    cs = a0 (1 + h) has inverse a0^(-1) (1 + h)^(-1), and the ring's
+    `unit_power(-1)` gives the last factor; inverting a0 is the only step
+    that can split.
+    """
+    a0i = ring.inv(cs[0])
+    w = ring.unit_power([ring.one()] + [ring.mul(a0i, c) for c in cs[1:]], -1)
+    return [ring.mul(a0i, c) for c in w]
+
+
+def _power_table(ks, base, mul) -> dict:
+    """{k: base^k} for every k >= 1 in ks, and the powers met on the way.
+
+    base^k is base^(k-1) times base when that power is known, else the
+    square of base^(k // 2), times base for odd k: one product per k over a
+    run of exponents, about 2 log k for an isolated one.
+    """
+    table = {1: base}
+    for k in sorted(ks):
+        steps = [k]
+        while steps[-1] not in table and steps[-1] - 1 not in table:
+            steps.append(steps[-1] // 2)
+        for j in reversed(steps):
+            if j in table:
+                continue
+            if j - 1 in table:
+                table[j] = mul(table[j - 1], base)
+            else:
+                half = table[j // 2]
+                sq = mul(half, half)
+                table[j] = mul(sq, base) if j % 2 else sq
+    return table
 
 
 def dense_sub(ring, f: list, g: list) -> list:

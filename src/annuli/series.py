@@ -4,14 +4,25 @@ The Puiseux machinery only ever needs a finite exponent window, so a series
 is a value ``sum cs[i] * sigma^(val+i)`` known up to O(sigma^prec) with
 ``prec = val + len(cs)``.  All coefficient decisions go through the carrier
 ring, so dynamic-evaluation splits propagate out of every operation.
+
+The costly operations are methods of the coefficient ring, called on
+coefficient lists: the product (`convolve`, from :meth:`TS.mul`), the power
+of a unit series 1 + h (`unit_power`, Miller's recurrence, from
+:meth:`TS.unit_power`; the series inverse is its exponent -1), Lagrange
+reversion (`reversion`, from :meth:`TS.reversion`) and the composition
+f(inner) (`compose`, from ``local._compose_laurent_series``).  Over Q and
+Q(sqrt d) (:class:`rings.ScalarField`, and a :class:`rings.LinearQuotient`
+over it, which delegates) they run on integers: each input list is cleared
+once to integers, pairs over Z[sqrt d], over one common denominator, and
+each output coefficient is one rational.  A :class:`rings.Quotient` runs
+them element by element on its own arithmetic.
 """
 
 from __future__ import annotations
 
 from ._ratio import QQ
 from .laurent import LaurentPoly
-from .rings import ring_pow
-from .scalars import Scalar
+from .rings import ring_pow, series_inverse
 
 
 class TruncationCap(ArithmeticError):
@@ -115,18 +126,12 @@ class TS:
         return TS(r, self.val, [r.mul(c, x) for x in self.cs])
 
     def inv(self) -> "TS":
-        """Inverse of a unit-leading series (splits if leading is a zero divisor).
-
-        f = a0 tau^v (1 + h) has inverse a0^(-1) tau^(-v) (1 + h)^(-1), and
-        `unit_power(-1)` gives the last factor.
-        """
+        """Inverse of a unit-leading series (splits if leading is a zero divisor),
+        from the ring's unit power (`rings.series_inverse`)."""
         f = self.normalized()
-        r = self.ring
         if not f.cs:
             raise ZeroDivisionError("inverse of zero series")
-        a0i = r.inv(f.cs[0])
-        unit = TS(r, 0, [r.one()] + [r.mul(a0i, c) for c in f.cs[1:]])
-        return unit.unit_power(-1).shift(-f.val).scale(a0i)
+        return TS(self.ring, -f.val, series_inverse(self.ring, f.cs))
 
     def pow_int(self, k: int) -> "TS":
         """self^k by square and multiply (a negative k inverts first): the
@@ -148,53 +153,28 @@ class TS:
             sq = sq.mul(sq)
 
     def unit_power(self, alpha) -> "TS":
-        """(1 + h)^alpha for a series 1 + h of val 0 and a rational alpha.
+        """(1 + h)^alpha for self = c (1 + h) of val 0, c a unit, and a rational alpha.
 
-        J. C. P. Miller's recurrence for a power w = f^alpha of a unit series
-        (Knuth, TAOCP vol. 2, 4.7): f w' = alpha f' w gives, with f_0 = 1,
-        k w_k = sum_{j=1..k} ((alpha + 1) j - k) h_j w_{k-j}.  It is kept as
-        two running sums, of j h_j w_{k-j} and of h_j w_{k-j}, over the
-        nonzero h_j only; at alpha = -1 the first sum has weight 0 and is
-        dropped.  Nothing is inverted, so nothing splits.
+        Miller's recurrence (Knuth, TAOCP vol. 2, 4.7), the ring's
+        `unit_power`: on integers over Q and Q(sqrt d), element by element
+        over a quotient ring.  Only a c other than 1 is inverted, so only it
+        can split.
         """
-        r = self.ring
-        h = self.cs
-        a1 = QQ(alpha) + 1
-        nz = [j for j in range(1, len(h)) if not r.is_zero(h[j])]
-        jh = {j: r.mul(r.from_scalar(Scalar(j)), h[j]) for j in nz} if a1 else {}
-        w = [r.one()] + [r.zero()] * (len(h) - 1)
-        for k in range(1, len(h)):
-            s1 = s2 = r.zero()
-            for j in nz:
-                if j > k:
-                    break
-                s2 = r.add(s2, r.mul(h[j], w[k - j]))
-                if a1:
-                    s1 = r.add(s1, r.mul(jh[j], w[k - j]))
-            w[k] = r.sub(r.mul(r.from_scalar(Scalar(a1 / k)), s1), s2) if a1 else r.neg(s2)
-        return TS(r, 0, w)
+        return TS(self.ring, 0, self.ring.unit_power(self.cs, QQ(alpha)))
 
     def reversion(self) -> "TS":
-        """Compositional inverse of a series with val 1 and unit linear coefficient.
+        """tau(sigma) with tau = sigma u(tau), for u = self of val 0 with a unit
+        constant term: the compositional inverse of tau / u(tau), to len(u)
+        terms past its valuation 1.
 
-        Lagrange inversion: t_j = (1/j) [tau^(j-1)] (tau / f)^j.
+        Lagrange inversion, t_j = (1/j) [tau^(j-1)] u^j, is the ring's
+        `reversion`.  The inverse of a series f of val 1 is
+        `f.shift(-1).inv().reversion()`.
         """
-        r = self.ring
-        f = self.normalized()
-        if f.val != 1:
-            raise ValueError("reversion needs valuation exactly 1")
-        n = len(f.cs)
-        u = f.shift(-1).inv().truncate(n)  # tau/f(tau), val 0, unit
-        out = [r.zero()] * n  # out[j-1] = t_j
-        upow = u
-        for j in range(1, n + 1):
-            cj = upow.coeff(j - 1) if j - 1 < upow.prec else None
-            if cj is None:
-                break
-            out[j - 1] = r.mul(cj, r.from_scalar(Scalar(QQ(1, j))))
-            if j < n:
-                upow = upow.mul(u).truncate(n)
-        return TS(r, 1, out)
+        u = self.normalized()
+        if u.val != 0:
+            raise ValueError("reversion needs a Lagrange series of valuation exactly 0")
+        return TS(self.ring, 1, self.ring.reversion(u.cs))
 
     def to_repr(self) -> str:
         r = self.ring

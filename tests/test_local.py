@@ -43,6 +43,7 @@ from annuli.scalars import ONE, Scalar, nth_root_exact
 from annuli.series import TS, TruncationCap
 
 import pytest
+from test_series import ref_compose, ref_reversion, ref_unit_power
 
 t = LaurentPoly.t
 
@@ -270,6 +271,39 @@ def test_compose_laurent_series_leaves_no_reference_cycle():
     assert [out.coeff(e) for e in range(-1, 5)] == [Scalar(c) for c in (1, -1, 1, -1, 2, 2)]
 
 
+def _reference_place_series(curve, place, window):
+    """place_subordinate_series through the element-wise reference loops of
+    test_series: the root (1 + h)^(1/v0), its reversion and the composition."""
+    base_is_x, ram, _ = place_base_data(exponent_profile(curve), place)
+    dom, sub = (curve.phi, curve.psi) if base_is_x else (curve.psi, curve.phi)
+    if place == "inf":
+        dom, sub = dom.compose_inv_t(), sub.compose_inv_t()
+    dom_ts = _laurent_to_ts(SCALARS, dom, window)
+    unit = dom_ts.shift(ram).scale(dom_ts.coeff(-ram).inv())
+    tau = ref_reversion(ref_unit_power(unit, QQ(-1, ram)).shift(1))
+    return ram, dom_ts.coeff(-ram), ref_compose(sub, SCALARS, tau, window)
+
+
+def _series_outcome(expand):
+    """(ram, lead, val, prec, coefficients) of an expansion, or its exception."""
+    try:
+        ram, lead, s = expand()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return ram, lead, s.val, s.prec, s.cs
+
+
+def test_place_series_on_the_catalog_match_the_elementwise_reference():
+    grid = default_grid()
+    assert len(grid) == 146
+    for sid in grid:
+        curve = gen_series(sid)
+        for place in ("inf", "0"):
+            for window in (6, 12):
+                got = _series_outcome(lambda: place_subordinate_series(curve, place, window))
+                assert got == _series_outcome(lambda: _reference_place_series(curve, place, window)), (sid, place, window)
+
+
 def test_field_linear_split_divides_out_rational_roots():
     """A double rational root, a simple one and an irreducible quadratic block."""
     one, c = LaurentPoly.const(1), LaurentPoly.const
@@ -319,7 +353,7 @@ def _rooted_standard_form(st_, ring, key, dom, v0):
         dom = dom.lift(R2)
     unit = dom.shift(-v0).scale(R2.inv(dom.coeff(v0)))
     sigma_of_tau = unit.unit_power(QQ(1, v0)).shift(1).scale(g if v0 > 0 else R2.inv(g))
-    return R2, sigma_of_tau.reversion()
+    return R2, sigma_of_tau.shift(-1).inv().reversion()
 
 
 def _rooted_place_series(curve, place, window, st_, base_ring, key, force_x=False):

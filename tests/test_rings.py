@@ -201,7 +201,7 @@ def test_series_kernels_at_a_rational_point_match_the_reference():
         unit = unit.normalized().shift(-1)
         unit = unit.scale(ring.inv(unit.coeff(0)))
         w = unit.unit_power(QQ(1, 3))
-        rev = w.shift(1).reversion()
+        rev = w.inv().reversion()  # the reversion of tau w(tau), from its Lagrange series 1 / w
         return [[ring.to_repr(c) for c in ts.cs] for ts in (xs, w, rev)]
 
     R, ref = linear_pair(-2, 1)

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from annuli._ratio import QQ
 from annuli.laurent import LaurentPoly
@@ -56,7 +57,7 @@ def test_nth_root_monic_inverse_pair_over_a_quotient_ring():
 
 def test_reversion_of_t_plus_t2():
     f = TS(SCALARS, 1, [Scalar(1), Scalar(1), Scalar(0), Scalar(0), Scalar(0)])
-    g = f.reversion()
+    g = f.shift(-1).inv().reversion()  # the Lagrange series tau / f
     # t = s - s^2 + 2 s^3 - 5 s^4 + ...
     assert [g.coeff(i) for i in (1, 2, 3, 4)] == [Scalar(1), Scalar(-1), Scalar(2), Scalar(-5)]
 
@@ -223,3 +224,170 @@ def test_ring_pow_with_a_negative_exponent_inverts_first(kind):
         for k in (1, 2, 5):
             assert R.eq(ring_pow(R, x, -k), ring_pow(R, R.inv(x), k))
             assert R.eq(R.mul(ring_pow(R, x, -k), ring_pow(R, x, k)), R.one())
+
+
+# ---------------------------------------------------------------------------
+# the ring kernels against the element-wise loops they replaced
+# ---------------------------------------------------------------------------
+#
+# ref_unit_power, ref_reversion and ref_compose are the series loops as they
+# ran before each coefficient ring had its own kernels: Miller's recurrence
+# and Lagrange inversion element by element, and the composition by powers
+# of the inner series.  The series inverse they need is ref_inv, so nothing
+# in the reference goes through a ring's unit_power, reversion or compose.
+
+
+def ref_unit_power(u, alpha):
+    """(1 + h)^alpha for u = 1 + h: k w_k = sum_j ((alpha + 1) j - k) h_j w_{k-j}."""
+    r, h = u.ring, u.cs
+    a1 = QQ(alpha) + 1
+    nz = [j for j in range(1, len(h)) if not r.is_zero(h[j])]
+    jh = {j: r.mul(r.from_scalar(Scalar(j)), h[j]) for j in nz} if a1 else {}
+    w = [r.one()] + [r.zero()] * (len(h) - 1)
+    for k in range(1, len(h)):
+        s1 = s2 = r.zero()
+        for j in nz:
+            if j > k:
+                break
+            s2 = r.add(s2, r.mul(h[j], w[k - j]))
+            if a1:
+                s1 = r.add(s1, r.mul(jh[j], w[k - j]))
+        w[k] = r.sub(r.mul(r.from_scalar(Scalar(a1 / k)), s1), s2) if a1 else r.neg(s2)
+    return TS(r, 0, w)
+
+
+def ref_inv(f):
+    f = f.normalized()
+    r = f.ring
+    a0i = r.inv(f.cs[0])
+    unit = TS(r, 0, [r.one()] + [r.mul(a0i, c) for c in f.cs[1:]])
+    return ref_unit_power(unit, -1).shift(-f.val).scale(a0i)
+
+
+def ref_reversion(f):
+    """The compositional inverse of f, of val 1: t_j = (1/j) [tau^(j-1)] (tau / f)^j."""
+    r = f.ring
+    f = f.normalized()
+    n = len(f.cs)
+    u = ref_inv(f.shift(-1)).truncate(n)
+    out = [r.zero()] * n
+    upow = u
+    for j in range(1, n + 1):
+        out[j - 1] = r.mul(upow.coeff(j - 1), r.from_scalar(Scalar(QQ(1, j))))
+        if j < n:
+            upow = upow.mul(u).truncate(n)
+    return TS(r, 1, out)
+
+
+def ref_compose(f, ring, inner, window):
+    """f(inner): inner^k the square of inner^(k/2 rounded towards 0), times
+    inner or its inverse for odd k, each kept to `window` terms past its
+    valuation; a truncated f cuts its image back to O(sigma^f.prec)."""
+    if isinstance(f, TS):
+        terms = [(f.val + i, c) for i, c in enumerate(f.cs) if not ring.is_zero(c)]
+        cut = f.prec
+    else:
+        terms = [(e, ring.from_scalar(f.coeffs[e])) for e in f.support()]
+        cut = None
+    powers = {0: TS.one_term(ring, ring.one(), 0, window)}
+    inv = None
+    out = None
+    for e, c in terms:
+        if e < 0 and inv is None:
+            inv = ref_inv(inner)
+        chain = [e]
+        while chain[-1] not in powers:
+            k = chain[-1]
+            chain.append(k // 2 if k > 0 else -(-k // 2))
+        for i in range(len(chain) - 2, -1, -1):
+            k, half = chain[i], powers[chain[i + 1]]
+            ts = half.mul(half)
+            if k % 2:
+                ts = ts.mul(inner if k > 0 else inv)
+            powers[k] = ts.truncate(ts.val + window)
+        term = powers[e].scale(c)
+        out = term if out is None else out.add(term)
+    if out is None:
+        return TS.zero(ring, window if cut is None else cut)
+    return out if cut is None else out.truncate(cut)
+
+
+def _identical(f, g):
+    return (f.val, f.prec, f.cs) == (g.val, g.prec, g.cs)
+
+
+KERNEL_RINGS = ["Q", "Q(sqrt 2)", "Q(sqrt 5)", "Q(sqrt -3)", "LinearQuotient", "Quotient"]
+ALPHAS = [QQ(-1), QQ(2, 3)] + [QQ(sign, k) for k in range(1, 7) for sign in (1, -1)]
+_QUOTIENT = Quotient(SCALARS, [Scalar(1), Scalar(1), Scalar(1)], "q")  # s^2 + s + 1
+
+
+@st.composite
+def kernel_rings(draw):
+    """(ring, field tag, largest length): the quotient ring, whose loops are
+    element-wise, only at short lengths."""
+    kind = draw(st.sampled_from(KERNEL_RINGS))
+    if kind == "Quotient":
+        return _QUOTIENT, 1, 8
+    if kind == "LinearQuotient":
+        d = draw(st.sampled_from([1, 2, 5, -3]))
+        return LinearQuotient(SCALARS, Scalar(QQ(2, 3)), "pt"), d, 48
+    return SCALARS, {"Q": 1, "Q(sqrt 2)": 2, "Q(sqrt 5)": 5, "Q(sqrt -3)": -3}[kind], 48
+
+
+@st.composite
+def coefficients(draw, ring, d, length, unit_lead=False):
+    """`length` elements of `ring`, sparse in half the draws; a nonzero first one with unit_lead."""
+    nums = st.sampled_from([0, 0, 0, 1, -1, 2, -3, 7]) if draw(st.booleans()) else st.integers(-9, 9)
+    out = []
+    for i in range(length):
+        a = QQ(draw(nums), draw(st.integers(1, 6)))
+        b = QQ(draw(st.integers(-3, 3)), draw(st.integers(1, 4))) if d != 1 else 0
+        if i == 0 and unit_lead and not (a or b):
+            a = QQ(draw(st.sampled_from([1, -2, 3])), draw(st.integers(1, 6)))
+        c = Scalar(a, b, d)
+        if ring is _QUOTIENT:  # c + c' s
+            c = ring.add(ring.from_scalar(c), ring.mul(ring.from_scalar(Scalar(QQ(draw(nums), 2))), ring.gen()))
+        out.append(c)
+    return out
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_unit_power_kernel_matches_the_elementwise_loop(data):
+    ring, d, top = data.draw(kernel_rings())
+    length = data.draw(st.integers(1, top))
+    if data.draw(st.booleans()):
+        u = TS(ring, 0, [ring.one()] + data.draw(coefficients(ring, d, length - 1)))
+    else:  # c (1 + h) for a unit c: the power of 1 + h
+        u = TS(ring, 0, data.draw(coefficients(ring, d, length, unit_lead=True)))
+    alpha = data.draw(st.sampled_from(ALPHAS))
+    assert _identical(u.unit_power(alpha), ref_unit_power(u.scale(ring.inv(u.cs[0])), alpha))
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_reversion_kernel_matches_the_lagrange_loop(data):
+    ring, d, top = data.draw(kernel_rings())
+    u = TS(ring, 0, data.draw(coefficients(ring, d, data.draw(st.integers(1, top)), unit_lead=True)))
+    f = ref_inv(u).shift(1)  # tau / u(tau), whose Lagrange series is u
+    want = ref_reversion(f)
+    assert _identical(u.reversion(), want)
+    assert _identical(f.shift(-1).inv().reversion(), want)
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_compose_kernel_matches_the_reference(data):
+    ring, d, top = data.draw(kernel_rings())
+    inner = TS(ring, 1, data.draw(coefficients(ring, d, data.draw(st.integers(1, top)), unit_lead=True)))
+    window = data.draw(st.integers(1, top))
+    if data.draw(st.booleans()):
+        # a Laurent polynomial over the scalars, with negative exponents
+        bot = data.draw(st.integers(-6, 0))
+        cs = data.draw(coefficients(SCALARS, d, data.draw(st.integers(1, 14))))
+        f = LaurentPoly({bot + i: c for i, c in enumerate(cs) if not c.is_zero()})
+    else:
+        # a truncated series over the ring, known below f.prec only
+        val = data.draw(st.integers(-4, 4))
+        f = TS(ring, val, data.draw(coefficients(ring, d, data.draw(st.integers(0, min(top, 20))))))
+    assert _identical(_compose_laurent_series(f, ring, inner, window), ref_compose(f, ring, inner, window))
