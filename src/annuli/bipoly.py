@@ -17,11 +17,10 @@ nonnegative support.
 from __future__ import annotations
 
 from itertools import chain
-from math import comb, lcm
+from math import comb
 
-from ._ratio import QQ
-from .laurent import LaurentPoly, poly_gcd
-from .rings import int_convolve, int_divexact, int_trim
+from .laurent import LaurentPoly, poly_gcd, to_dense
+from .rings import _cleared, _zz_scalars, int_convolve, int_divexact, int_trim
 from .scalars import Scalar, ZERO
 
 UV = dict  # {int: LaurentPoly in v}
@@ -112,7 +111,7 @@ def uv_prs(F: UV, G: UV) -> list[UV]:
     for p in chain(A.values(), B.values()):
         if p.field_tag() != 1:
             d = p.field_tag()
-    a, b = _uv_to_zz(A), _uv_to_zz(B)
+    a, b = _uv_to_zz(A, d), _uv_to_zz(B, d)
     out = [A, B]
     g = h = ([1], [])
     while len(b) > 1:
@@ -130,30 +129,24 @@ def uv_prs(F: UV, G: UV) -> list[UV]:
     return out
 
 
-def _uv_to_zz(F: UV) -> list:
-    """F over one common denominator, as a list of integer pairs."""
-    den = lcm(*(q.denominator for p in F.values() for c in p.coeffs.values() for q in (c.a, c.b)))
-    out = []
-    for k in range(uv_deg(F) + 1):
-        p = F.get(k, LaurentPoly.zero())
-        a, b = [0] * (p.top() + 1 if not p.is_zero() else 0), []
-        if any(not c.is_rational() for c in p.coeffs.values()):
-            b = list(a)
-        for e, c in p.coeffs.items():
-            a[e] = int(c.a.numerator) * (den // int(c.a.denominator))
-            if b:
-                b[e] = int(c.b.numerator) * (den // int(c.b.denominator))
-        out.append((int_trim(a), int_trim(b)))
+def _uv_to_zz(F: UV, d: int) -> list:
+    """F over Q(sqrt d) over one common denominator, as a list of integer pairs."""
+    zero = LaurentPoly.zero()
+    rows = [to_dense(F.get(k, zero)) for k in range(uv_deg(F) + 1)]
+    (A, B), _ = _cleared(list(chain(*rows)), d)
+    out, i = [], 0
+    for row in rows:
+        j = i + len(row)
+        out.append((int_trim(A[i:j]), int_trim(B[i:j]) if B is not None else []))
+        i = j
     return out
 
 
 def _uv_from_zz(f: list, d: int) -> UV:
     """The UV polynomial of a list of integer pairs."""
     out: UV = {}
-    for k, (a, b) in enumerate(f):
-        n = max(len(a), len(b))
-        pairs = zip(a + [0] * (n - len(a)), b + [0] * (n - len(b)))
-        p = LaurentPoly({e: Scalar(QQ(x), QQ(y), d) for e, (x, y) in enumerate(pairs) if x or y})
+    for k, x in enumerate(f):
+        p = LaurentPoly(dict(enumerate(_zz_scalars(x, 1, d))))
         if not p.is_zero():
             out[k] = p
     return out

@@ -5,11 +5,12 @@ D~(u, v) = E~(u, v) = 0 (u = t + t', v = t t'): the subresultant chain of D~
 and E~ in u eliminates u, and the squarefree, v-free part M of its last
 element vanishes at every v-coordinate of a double point.  Over each branch
 of Q[v]/(M) the fiber gcd in u is read off the same chain: every
-zero-divisor decision of the Euclidean gcd over Q[v]/(M) is one gcd in Q[v]
-with a chain coefficient (dynamic evaluation, split on a zero divisor).  The
-squarefree part of the fiber gcd is then tested against the diagonal
-u^2 = 4v.  The system is built from the input curve as it is given, so every
-witness is a pair (u, v) of the input's own parameters.
+zero-divisor decision of the Euclidean gcd over Q[v]/(M) is one
+:meth:`~annuli.rings.Quotient.decide_zero` of a chain coefficient (dynamic
+evaluation, split on a zero divisor).  The squarefree part of the fiber gcd
+is then tested against the diagonal u^2 = 4v.  The system is built from the
+input curve as it is given, so every witness is a pair (u, v) of the input's
+own parameters.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from math import gcd
 from .bipoly import (
     UV,
     double_point_system,
-    poly_eval_ring,
     uv_content,
     uv_deg,
     uv_eval_u,
@@ -50,7 +50,7 @@ from .local import (
     singular_parameters,
     tangency_delta,
 )
-from .rings import BranchState, Quotient, SCALARS, SplitEvent, dense_divexact, explore_branches, quotient_gcd
+from .rings import BranchState, Quotient, SCALARS, dense_divexact, explore_branches, quotient_gcd
 from .scalars import ZERO, Scalar
 from .series import TS
 
@@ -208,9 +208,8 @@ def _fiber_check(D: UV, E: UV, modulus: LaurentPoly, prs: list) -> list:
     its gcd with g' = 1 inverts only 1.  Saturating g by the diagonal
     u^2 - 4v inverts 1 and then x = c^2 - 4v, the remainder of u^2 - 4v by g.
     If x is zero, g divides the diagonal and the branch is diagonal.
-    Otherwise :meth:`Quotient.inv` splits m on the monic gcd of m and x in
-    Q[v], or finds x a unit and leaves g as it is.  One :func:`poly_gcd` gives
-    that same split, so the split tree and the witnesses are Euclid's.
+    Otherwise :meth:`Quotient.decide_zero` splits m on the monic gcd of m
+    and x in Q[v], as Euclid's inverse does, or finds x a unit and leaves g.
     """
     mod_dense = to_dense(modulus)
     chains = {(uv_deg(D), uv_deg(E)): prs}
@@ -218,7 +217,7 @@ def _fiber_check(D: UV, E: UV, modulus: LaurentPoly, prs: list) -> list:
     def fn(st: BranchState):
         K = st.quotient(SCALARS, "wv", mod_dense)
         m = from_dense(st.modulus("wv", mod_dense))
-        g = _fiber_gcd(K, m, D, E, chains)
+        g = _fiber_gcd(K, D, E, chains)
         if len(g) <= 1:
             return None  # no genuine common solution above this branch
         if len(g) == 2:
@@ -242,16 +241,12 @@ def _linear_fiber(K, m: LaurentPoly, g: list) -> Witness | None:
     """Euclid's decision on the monic linear fiber gcd g = u + c over K = Q[v]/(m)."""
     c = g[0]
     x = K.sub(K.mul(c, c), K.mul(K.from_scalar(Scalar(4)), K.gen()))
-    if K.is_zero(x):
+    if K.decide_zero(x):
         return None  # the fiber point lies on the diagonal u^2 = 4v
-    if K.as_scalar(x) is None:
-        h = poly_gcd(m, from_dense(list(x)))
-        if not h.is_constant():
-            raise SplitEvent("wv", tuple(to_dense(h)), tuple(to_dense(m.divexact(h))))
     return Witness(m, g, _upoly_repr(K, g))
 
 
-def _fiber_gcd(K, m: LaurentPoly, D: UV, E: UV, chains: dict) -> list:
+def _fiber_gcd(K, D: UV, E: UV, chains: dict) -> list:
     """The monic gcd of D and E in u over K = Q[v]/(m), as Euclid finds it.
 
     Makes the zero-divisor decisions of the Euclidean gcd over K in its
@@ -259,27 +254,27 @@ def _fiber_gcd(K, m: LaurentPoly, D: UV, E: UV, chains: dict) -> list:
     the leading coefficient of each next remainder.  On the branch that
     remainder is, root by root of m, a nonzero multiple of the element of the
     subresultant chain that follows the current divisor, so each decision is
-    one gcd with m in Q[v] (:func:`_lead_degree`).  When an element loses
+    one zero decision in K (:func:`_lead_degree`).  When an element loses
     degree modulo m the chain is restarted from the current divisor and the
     trimmed element.  ``chains`` caches the chains across branches, keyed by
     the trimmed degrees of D and E and then by each restart.
     """
-    a, b = _lead_degree(m, D, decide=False), _lead_degree(m, E)
+    a, b = _lead_degree(K, D, decide=False), _lead_degree(K, E)
     if a < 0 or b < 0:
         # one of them vanishes on this branch: the gcd is the other, made monic
         if b < 0 and a >= 0:
-            _lead_degree(m, D)
+            _lead_degree(K, D)
         return _monic_upoly(K, D if b < 0 else E, max(a, b))
     key = (a, b)
     if key not in chains:
         chains[key] = uv_prs(_uv_trunc(D, a), _uv_trunc(E, b))
     prs = chains[key]
     if a < b:
-        _lead_degree(m, D)
+        _lead_degree(K, D)
     k = 1
     while k + 1 < len(prs):
         S = prs[k + 1]
-        n = _lead_degree(m, S)
+        n = _lead_degree(K, S)
         if n < 0:
             break
         if n < uv_deg(S):
@@ -292,41 +287,31 @@ def _fiber_gcd(K, m: LaurentPoly, D: UV, E: UV, chains: dict) -> list:
     return _monic_upoly(K, prs[k], uv_deg(prs[k]))
 
 
-def _lead_degree(m: LaurentPoly, F: UV, decide: bool = True) -> int:
-    """The u-degree of F modulo m; with `decide`, also decide its lc.
+def _lead_degree(K, F: UV, decide: bool = True) -> int:
+    """The u-degree of F over K = Q[v]/(m); with `decide`, also decide its lc.
 
-    A coefficient that m divides is dropped.  The leading one left is a unit
-    modulo m, or it splits m: SplitEvent("wv", gcd, m / gcd), as
+    A coefficient that is zero in K is dropped.  With `decide` the leading
+    one left is a unit in K, or :meth:`decide_zero` splits m on it, as
     :meth:`Quotient.inv` splits on it.
     """
+    is_zero = K.decide_zero if decide else K.is_zero
     for k in range(uv_deg(F), -1, -1):
-        c = F.get(k)
-        if c is None or c.is_zero():
-            continue
-        g = poly_gcd(m, c)
-        if g.top() == m.top():
-            continue
-        if decide and not g.is_constant():
-            raise SplitEvent("wv", tuple(to_dense(g)), tuple(to_dense(m.divexact(g))))
-        return k
+        if not is_zero(K.from_dense(to_dense(F.get(k, LaurentPoly.zero())))):
+            return k
     return -1
 
 
 def _monic_upoly(K, F: UV, n: int) -> list:
     """F up to u-degree n as a dense polynomial over K, made monic ([] if n < 0).
 
-    On a :class:`Quotient` each coefficient is the class of its dense
-    coefficient list (one reduction modulo m; over Q on integers); a linear
-    m evaluates at its root.
+    Each coefficient is K's class of its dense coefficient list: one
+    reduction modulo m (over Q on integers), or its value at the root of a
+    linear m.
     """
     if n < 0:
         return []
     zero = LaurentPoly.zero()
-    if isinstance(K, Quotient):
-        cs = [K.from_dense(to_dense(F.get(k, zero))) for k in range(n + 1)]
-    else:
-        v = K.gen()
-        cs = [poly_eval_ring(F.get(k, zero), K, v) for k in range(n + 1)]
+    cs = [K.from_dense(to_dense(F.get(k, zero))) for k in range(n + 1)]
     inv = K.inv(cs[-1])
     return [K.mul(c, inv) for c in cs]
 
@@ -421,16 +406,14 @@ def _witness_tower(st: BranchState, w: Witness) -> tuple:
     return ring, ring.gen(), ring.from_base(v)
 
 
-def _v_value(ring, v_val):
+def _v_value(ring):
     """The map p -> p(v) into `ring` for polynomials p in v, the generator of level "wv".
 
-    When that level is a :class:`Quotient` K, p(v) is the class of p's
-    coefficient list (one reduction modulo m; over Q on integers), lifted
-    into a "wu" level over K; else it is Horner's rule at v_val.
+    p(v) is the class of p's coefficient list in that level K (one
+    reduction modulo m, over Q on integers, or its value at the root of a
+    linear m), lifted into a "wu" level over K.
     """
     K = ring.base if ring.key == "wu" else ring
-    if not isinstance(K, Quotient):
-        return lambda p: poly_eval_ring(p, ring, v_val)
     if ring is K:
         return lambda p: K.from_dense(to_dense(p))
     return lambda p: ring.from_base(K.from_dense(to_dense(p)))
@@ -531,7 +514,7 @@ def verify_witness(curve: ParametricCurve, w: Witness) -> bool:
 
     def fn(st: BranchState):
         ring, u_val, v_val = _witness_tower(st, w)
-        v_value = _v_value(ring, v_val)
+        v_value = _v_value(ring)
         okD = ring.decide_zero(uv_eval_u(D, ring, u_val, v_value))
         okE = ring.decide_zero(uv_eval_u(E, ring, u_val, v_value))
         disc = ring.sub(ring.mul(u_val, u_val), ring.mul(ring.from_scalar(Scalar(4)), v_val))

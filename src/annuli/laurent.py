@@ -6,16 +6,15 @@ coefficients; the zero polynomial is the empty map.  Plain polynomials
 :func:`from_dense` convert to and from coefficient lists; division, exact
 division and the Euclidean gcd run on those lists in the one dense kernel of
 :mod:`annuli.rings`, over :data:`~annuli.rings.SCALARS`.  Over Q the gcd is
-the heuristic integer gcd below.
+the heuristic integer gcd (GCDHEU) of :mod:`annuli.rings`, the one that also
+decides zero divisors in Q[s]/(m).
 """
 
 from __future__ import annotations
 
-from math import gcd, isqrt, lcm
-
 from ._ratio import QQ, int_gcd
 # NotDivisible is re-exported: LaurentPoly.divexact raises it
-from .rings import NotDivisible, SCALARS, dense_divexact, dense_divmod, int_divexact, quotient_gcd  # noqa: F401
+from .rings import NotDivisible, SCALARS, _heuristic_gcd, _primitive_zz, dense_divexact, dense_divmod, quotient_gcd  # noqa: F401
 from .scalars import Scalar, ZERO, ONE
 
 
@@ -287,71 +286,6 @@ def poly_gcd(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
         if h is not None:
             return LaurentPoly({e: Scalar(QQ(c, h[-1])) for e, c in enumerate(h)})
     return from_dense(quotient_gcd(SCALARS, a, b))
-
-
-# Heuristic gcd (Char, Geddes & Gonnet, "GCDHEU", J. Symb. Comp. 1989): the
-# gcd of two integer values at a large point xi, read back in base xi.  At
-# most _HEU_TRIES points are tried, and none once bits(xi) * degree passes
-# _HEU_MAX_BITS, where integer gcds get too long to beat the Euclidean loop.
-_HEU_TRIES = 6
-_HEU_MAX_BITS = 1 << 17
-
-
-def _primitive_zz(cs: list[Scalar]) -> list[int]:
-    """The primitive integer polynomial proportional to a rational one."""
-    den = lcm(*(int(c.a.denominator) for c in cs))
-    ints = [int(c.a.numerator) * (den // int(c.a.denominator)) for c in cs]
-    g = gcd(*ints)
-    return [v // g for v in ints]
-
-
-def _heuristic_gcd(a: list[int], b: list[int]) -> list[int] | None:
-    """Primitive gcd in Z[t] with a positive leading coefficient, or None.
-
-    A candidate is accepted only when it divides both inputs exactly; with
-    xi >= 2 min(|a|, |b|) + 2 (|.| the largest absolute coefficient) a
-    candidate that divides both is the gcd.
-    """
-    if len(a) == 1 or len(b) == 1:
-        return [1]
-    deg = max(len(a), len(b)) - 1
-    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
-    for _ in range(_HEU_TRIES):
-        if xi.bit_length() * deg > _HEU_MAX_BITS:
-            return None
-        h = _xi_adic(gcd(_horner(a, xi), _horner(b, xi)), xi)
-        if h and len(h) <= min(len(a), len(b)):
-            c = gcd(*h) if h[-1] > 0 else -gcd(*h)
-            h = [v // c for v in h]
-            try:
-                int_divexact(a, h)
-                int_divexact(b, h)
-                return h
-            except NotDivisible:
-                pass
-        # the growth used by later GCDHEU implementations: about xi^(5/4)
-        xi = xi * 73794 * isqrt(isqrt(xi)) // 27011
-    return None
-
-
-def _horner(cs: list[int], x: int) -> int:
-    v = 0
-    for c in reversed(cs):
-        v = v * x + c
-    return v
-
-
-def _xi_adic(v: int, xi: int) -> list[int]:
-    """Digits of v in base xi, each in the symmetric range (-xi/2, xi/2]."""
-    half = xi // 2
-    out = []
-    while v:
-        r = v % xi
-        if r > half:
-            r -= xi
-        out.append(r)
-        v = (v - r) // xi
-    return out
 
 
 def squarefree_part(f: LaurentPoly) -> LaurentPoly:

@@ -48,8 +48,8 @@ from math import gcd, lcm
 
 from ._ratio import QQ, rat
 from .curves import ExponentProfile, ParametricCurve, exponent_profile
-from .laurent import LaurentPoly, _primitive_zz, from_dense, poly_gcd, squarefree_part, to_dense
-from .rings import BranchState, NotDivisible, SCALARS, explore_branches, ring_pow
+from .laurent import LaurentPoly, from_dense, poly_gcd, squarefree_part, to_dense
+from .rings import BranchState, NotDivisible, SCALARS, _primitive_zz, explore_branches, ring_pow
 from .scalars import Scalar, nth_root_exact
 from .series import TS, TruncationCap, laurent_at_shifted_point
 

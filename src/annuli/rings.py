@@ -24,12 +24,14 @@ base, reduced modulo the modulus.
 Q[s]/(m) with a rational m computes on integers instead.  m is kept as a
 primitive integer list M; an element over Q is cleared to integers over one
 common denominator.  A product is one :func:`int_convolve` and one
-fraction-free reduction by M (:func:`int_prem`).  An inverse or a zero
-decision is a primitive remainder sequence of M and the element over Z
-(Brown & Traub, J. ACM 1971) that carries the cofactor as one integer list
-over one integer denominator.  The monic gcd and the inverse are unique, so
-every value and every split equals the Euclidean one over Q.  Q(sqrt d)
-moduli and towers keep the generic code.
+fraction-free reduction by M (:func:`int_prem`).  An inverse is a primitive
+remainder sequence of M and the element over Z (Brown & Traub, J. ACM 1971)
+that carries the cofactor as one integer list over one integer denominator.
+A zero decision is GCDHEU's gcd of M and the element (:func:`_heuristic_gcd`,
+also :func:`annuli.laurent.poly_gcd`'s), with that sequence when it gives
+up.  The monic gcd and the inverse are unique, so every value and every
+split (each built by :meth:`Quotient._split`) equals the Euclidean one over
+Q.  Q(sqrt d) moduli and towers keep the generic code.
 
 Every ring also carries the truncated-series kernels of :mod:`annuli.series`
 on coefficient lists: `convolve`, `unit_power` (Miller's recurrence),
@@ -344,8 +346,12 @@ def _zz_inverse(x: tuple, den: int, n: int, d: int) -> tuple:
 
 def _zz_scalars(x: tuple, den, d: int) -> list:
     """The scalars (A_i + B_i sqrt(d)) / den_i of x = (A, B), for one integer
-    den or a list of them; a zero is the shared ZERO."""
+    den or a list of them; a zero is the shared ZERO.  A and B may differ in
+    length: the shorter one is read with zeros."""
     a, b = x
+    if b is not None and len(a) != len(b):
+        n = max(len(a), len(b))
+        a, b = a + [0] * (n - len(a)), b + [0] * (n - len(b))
     dens = den if isinstance(den, list) else [den] * len(a)
     # a zero coefficient is the shared ZERO, not a fresh object: series are
     # sparse and many products are kept
@@ -422,6 +428,70 @@ def int_divexact(f: list, g: list) -> list:
     return q
 
 
+# Heuristic gcd (Char, Geddes & Gonnet, "GCDHEU", J. Symb. Comp. 1989): the
+# gcd of two integer values at a large point xi, read back in base xi.  At
+# most _HEU_TRIES points are tried, and none once bits(xi) * degree passes
+# _HEU_MAX_BITS, where integer gcds get too long to beat the Euclidean loop.
+_HEU_TRIES = 6
+_HEU_MAX_BITS = 1 << 17
+
+
+def _primitive_zz(cs: list) -> list[int]:
+    """The primitive integer polynomial proportional to the rational parts of the scalars cs."""
+    ints = _cleared(cs, 1)[0][0]
+    g = gcd(*ints)
+    return [v // g for v in ints]
+
+
+def _heuristic_gcd(a: list[int], b: list[int]) -> list[int] | None:
+    """Primitive gcd in Z[t] with a positive leading coefficient, or None.
+
+    A candidate is accepted only when it divides both inputs exactly; with
+    xi >= 2 min(|a|, |b|) + 2 (|.| the largest absolute coefficient) a
+    candidate that divides both is the gcd.  a and b are primitive and trimmed.
+    """
+    if len(a) == 1 or len(b) == 1:
+        return [1]
+    deg = max(len(a), len(b)) - 1
+    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
+    for _ in range(_HEU_TRIES):
+        if xi.bit_length() * deg > _HEU_MAX_BITS:
+            return None
+        h = _xi_adic(gcd(_horner(a, xi), _horner(b, xi)), xi)
+        if h and len(h) <= min(len(a), len(b)):
+            c = gcd(*h) if h[-1] > 0 else -gcd(*h)
+            h = [v // c for v in h]
+            try:
+                int_divexact(a, h)
+                int_divexact(b, h)
+                return h
+            except NotDivisible:
+                pass
+        # the growth used by later GCDHEU implementations: about xi^(5/4)
+        xi = xi * 73794 * isqrt(isqrt(xi)) // 27011
+    return None
+
+
+def _horner(cs: list[int], x: int) -> int:
+    v = 0
+    for c in reversed(cs):
+        v = v * x + c
+    return v
+
+
+def _xi_adic(v: int, xi: int) -> list[int]:
+    """Digits of v in base xi, each in the symmetric range (-xi/2, xi/2]."""
+    half = xi // 2
+    out = []
+    while v:
+        r = v % xi
+        if r > half:
+            r -= xi
+        out.append(r)
+        v = (v - r) // xi
+    return out
+
+
 SCALARS = ScalarField()
 
 
@@ -468,7 +538,7 @@ class Quotient:
 
     def _from_ints(self, nums: list, den) -> tuple:
         """The element sum_i (nums[i] / den) s^i of an integer list of length <= deg."""
-        out = [rational_scalar(QQ(c, den)) if c else ZERO for c in nums]
+        out = _zz_scalars((nums, None), den, 1)
         out.extend([ZERO] * (self.deg - len(out)))
         return tuple(out)
 
@@ -624,19 +694,27 @@ class Quotient:
         return all(b.is_zero(c) for c in x)
 
     def decide_zero(self, x) -> bool:
-        """Branchwise zero decision; raises SplitEvent on proper zero divisors."""
+        """Branchwise zero decision; raises SplitEvent on proper zero divisors.
+
+        A nonzero x splits the modulus on its gcd with x when that is not
+        constant.  On the integer path the gcd is GCDHEU's, with
+        :meth:`_int_euclid` when it gives up; else Euclid's over the base.
+        """
         b = self.base
         if all(b.is_zero(c) for c in x):
             return True
-        # nonzero representative: certify it is a unit on every branch, else split
-        ints = self._ints(x)
-        if ints is not None:
-            self._int_euclid(ints[0], cofactor=False)
-            return False
-        g = quotient_gcd(b, self.mod, x)
-        if len(g) == 1:
-            return False
-        raise SplitEvent(self.key, tuple(g), tuple(dense_divexact(b, self.mod, g)))
+        if self._ints(x) is None:
+            g = quotient_gcd(b, self.mod, x)
+        else:
+            X = int_trim(_primitive_zz(x))
+            G = _heuristic_gcd(self.imod, X)
+            if G is None:
+                self._int_euclid(X)
+                return False
+            g = _zz_scalars((G, None), G[-1], 1)
+        if len(g) > 1:
+            raise self._split(g)
+        return False
 
     def eq(self, x, y) -> bool:
         return self.is_zero(self.sub(x, y))
@@ -654,7 +732,7 @@ class Quotient:
             raise DivisionByZero("inverse of zero in quotient ring")
         ints = self._ints(x)
         if ints is not None:
-            T, e = self._int_euclid(ints[0], cofactor=True)
+            T, e = self._int_euclid(ints[0])
             return self._from_ints([ints[1] * c for c in T], e)
         g, s = self._half_xgcd(list(self.mod), list(x))
         if len(g) == 1:
@@ -662,49 +740,47 @@ class Quotient:
             return self.from_dense([b.mul(c, ginv) for c in s])
         if len(g) == len(self.mod):
             raise DivisionByZero("inverse of zero in quotient ring")
-        raise SplitEvent(self.key, tuple(g), tuple(dense_divexact(b, self.mod, g)))
+        raise self._split(g)
+
+    def _split(self, g: list) -> SplitEvent:
+        """SplitEvent(key, g, m / g) for a proper monic factor g of the modulus m."""
+        return SplitEvent(self.key, tuple(g), tuple(dense_divexact(self.base, self.mod, g)))
 
     # -- polynomial helpers over the base ------------------------------------------
 
-    def _int_euclid(self, X: list, cofactor: bool) -> tuple[list, int] | None:
+    def _int_euclid(self, X: list) -> tuple[list, int]:
         """Decide the integer list X (not zero modulo M) by a primitive
         remainder sequence of M and X over Z.
 
-        A nonconstant gcd splits the modulus on its monic form g:
-        SplitEvent(key, g, m / g), as the Euclidean gcd over Q splits, since
-        the monic gcd is unique.  Otherwise X is a unit; with `cofactor` the
-        result is (T, e), an integer list of length at most deg M (the
-        Euclidean cofactor's degree bound) and a nonzero integer with
-        T X = e modulo M, and None without.  Each remainder r_i keeps such a
-        pair for e_i r_i = T_i X, and (T_i, e_i) is kept in lowest terms.
+        A nonconstant gcd splits the modulus on its monic form, as the
+        Euclidean gcd over Q splits, since the monic gcd is unique.
+        Otherwise X is a unit, and the result is (T, e), an integer list of
+        length at most deg M (the Euclidean cofactor's degree bound) and a
+        nonzero integer with T X = e modulo M.  Each remainder r_i keeps such
+        a pair for e_i r_i = T_i X, and (T_i, e_i) is kept in lowest terms.
         """
         r0, r1 = self.imod, int_trim(list(X))
         c = gcd(*r1)
         r1 = [v // c for v in r1]
         T0, e0, T1, e1 = [], 1, [1], c
         while len(r1) > 1:
-            k, q, r = int_prem(r0, r1, quotient=cofactor)
+            k, q, r = int_prem(r0, r1, quotient=True)
             int_trim(r)
             if not r:
-                g = [rational_scalar(QQ(v, r1[-1])) for v in r1]
-                f = int_divexact(self.imod, r1)
-                raise SplitEvent(self.key, tuple(g), tuple(rational_scalar(QQ(v, f[-1])) for v in f))
+                raise self._split(_zz_scalars((r1, None), r1[-1], 1))
             c = gcd(*r)
             r0, r1 = r1, [v // c for v in r]
-            if cofactor:
-                # e r = k (E / e0) T0 X - (E / e1) q T1 X  with E = lcm(e0, e1)
-                E = lcm(e0, e1)
-                a, b = k * (E // e0), E // e1
-                qT = int_convolve(q, T1, len(q) + len(T1) - 1)
-                T = [a * u for u in T0] + [0] * (len(qT) - len(T0))
-                for i, v in enumerate(qT):
-                    T[i] -= b * v
-                int_trim(T)
-                h = gcd(E * c, *T)
-                T0, e0, T1, e1 = T1, e1, [v // h for v in T], E * c // h
-        if cofactor:
-            return T1, e1 * r1[0]
-        return None
+            # e r = k (E / e0) T0 X - (E / e1) q T1 X  with E = lcm(e0, e1)
+            E = lcm(e0, e1)
+            a, b = k * (E // e0), E // e1
+            qT = int_convolve(q, T1, len(q) + len(T1) - 1)
+            T = [a * u for u in T0] + [0] * (len(qT) - len(T0))
+            for i, v in enumerate(qT):
+                T[i] -= b * v
+            int_trim(T)
+            h = gcd(E * c, *T)
+            T0, e0, T1, e1 = T1, e1, [v // h for v in T], E * c // h
+        return T1, e1 * r1[0]
 
     def _half_xgcd(self, a: list, bb: list) -> tuple[list, list]:
         """Monic gcd of a, bb over base plus Bezout coefficient for bb.
@@ -762,6 +838,14 @@ class LinearQuotient:
 
     def from_base(self, x):
         return x
+
+    def from_dense(self, cs: list):
+        """The class of the base polynomial cs (low -> high): its value at the root, by Horner's rule."""
+        b = self.base
+        acc = b.zero()
+        for c in reversed(cs):
+            acc = b.add(b.mul(acc, self.root), c)
+        return acc
 
 
 # ---------------------------------------------------------------------------

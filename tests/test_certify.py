@@ -386,7 +386,7 @@ def _euclid_fiber_check(D, E, m):
     def fn(st_: BranchState):
         K = st_.quotient(SCALARS, "wv", mod)
         mm = from_dense(st_.modulus("wv", mod))
-        g = _fiber_gcd(K, mm, D, E, chains)
+        g = _fiber_gcd(K, D, E, chains)
         res = None
         if len(g) > 1:
             gp = [K.mul(c, K.from_scalar(Scalar(i + 1))) for i, c in enumerate(g[1:])]
@@ -429,7 +429,7 @@ def test_fiber_gcd_makes_euclids_decisions(case):
 
     def walk(st_: BranchState):
         K = st_.quotient(SCALARS, "wv", mod)
-        return tuple(st_.modulus("wv", mod)), _fiber_gcd(K, from_dense(st_.modulus("wv", mod)), D, E, chains)
+        return tuple(st_.modulus("wv", mod)), _fiber_gcd(K, D, E, chains)
 
     assert explore_branches(walk) == explore_branches(lambda st_: _euclid_fiber_gcd(st_, D, E, mod))
     # the fiber check, branch for branch: moduli, diagonal branches and witnesses
@@ -485,7 +485,7 @@ def test_linear_fiber_gcds_make_euclids_decisions(m, shape):
         # the linear decision splits m on gcd(m, c^2 - 4v) = (v - 1)(v - 4)
         K = Quotient(SCALARS, to_dense(m), "wv")
         with pytest.raises(SplitEvent) as split:
-            certify._linear_fiber(K, m, _fiber_gcd(K, m, _LIN_D, _LIN_E, {}))
+            certify._linear_fiber(K, m, _fiber_gcd(K, _LIN_D, _LIN_E, {}))
         assert from_dense(list(split.value.f1)) == _v_poly(1, 4)
         assert [from_dense(list(mm)) for mm, _ in branches] == [_v_poly(1, 4), _v_poly(2)]
 
@@ -558,25 +558,30 @@ def test_witness_image_equals_the_power_sums_with_inverses(d):
     assert len(kinds) == 6
 
 
-def _refute_inputs(seed: int, scale: float) -> list:
-    """The curve files of the benchmark's `refute` workload at a reduced scale."""
+def _workload_inputs(workload: str, seed: int, scale: float) -> list:
+    """The curve files of a benchmark workload at a reduced scale."""
     path = Path(__file__).resolve().parent.parent / "annuli_bench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("_bench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    return [text for _, text in workloads.make_inputs("refute", seed, scale=scale)]
+    return [text for _, text in workloads.make_inputs(workload, seed, scale=scale)]
 
 
 def test_every_witness_of_a_refute_sample_verifies():
-    checked = 0
-    for text in _refute_inputs(3, 1 / 16):
-        c = io.parse_curve_file(text)
-        for w in injectivity_certificate(c).witnesses:
-            if not w.u_poly:
-                continue
-            assert verify_witness(c, w), text
-            checked += 1
-    assert checked >= 10, checked
+    """Witnesses over Q, and over Q(sqrt d) from the `fields` workload, where
+    some fiber gcds are quadratic and the witness has a "wu" level."""
+    for workload, least, towers in (("refute", 10, 0), ("fields", 10, 2)):
+        checked = wu = 0
+        for text in _workload_inputs(workload, 3, 1 / 16):
+            c = io.parse_curve_file(text)
+            for w in injectivity_certificate(c).witnesses:
+                if not w.u_poly:
+                    continue
+                assert verify_witness(c, w), text
+                checked += 1
+                wu += len(w.u_poly) > 2
+        assert checked >= least, (workload, checked)
+        assert wu >= towers, (workload, wu)
 
 
 def test_degree_39_witness_certifies_and_verifies_in_bounded_time():

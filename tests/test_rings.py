@@ -1,12 +1,14 @@
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import annuli
 from annuli import laurent, rings
+from annuli.bipoly import poly_eval_ring
 from annuli._ratio import QQ
 from annuli.laurent import LaurentPoly, poly_gcd, make_poly
 from annuli.rings import (
@@ -243,6 +245,16 @@ def quotient_over(base, elems, mod_elems, deg):
     return R, st.lists(elems, min_size=deg, max_size=deg).map(R.from_dense)
 
 
+@given(data=st.data(), d=st.sampled_from([1, 2]))
+@settings(max_examples=60, deadline=None)
+def test_linear_quotient_from_dense_is_the_value_at_its_root(data, d):
+    root = data.draw(scalars_in(d), label="root")
+    cs = data.draw(st.lists(scalars_in(d), max_size=8), label="cs")
+    R = BranchState().quotient(SCALARS, "wv", [-root, Scalar(1)])
+    assert isinstance(R, LinearQuotient) and R.gen() == root
+    assert R.from_dense(cs) == poly_eval_ring(LaurentPoly(dict(enumerate(cs))), R, root)
+
+
 def _small(d):
     return [Scalar(2), Scalar(-1, 1, d) if d != 1 else Scalar("1/3"), Scalar(0), Scalar(5)]
 
@@ -418,6 +430,10 @@ def test_integer_quotient_splits_planted_zero_divisors_as_euclid(data):
     ref = _outcome(_reference_inv, R, x)
     assert ref[0] == "split"
     assert _outcome(R.inv, x) == ref
+    assert _outcome(R.decide_zero, x) == ref
+    with mock.patch.object(rings, "_HEU_TRIES", 0):
+        # GCDHEU gives up at once: decide_zero falls back to _int_euclid
+        assert _outcome(R.decide_zero, x) == ref
     assert _outcome(R.decide_zero, x) == ref
     assert _outcome(R.inv, R.zero()) == "zero"
     assert R.decide_zero(R.zero()) is True

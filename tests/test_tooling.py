@@ -65,3 +65,20 @@ def test_only_the_backend_module_reads_the_environment():
                 readers.append(path.name)
                 break
     assert readers == ["_ratio.py"]
+
+
+def test_only_the_ring_module_builds_a_split():
+    """Every zero-divisor decision is the coefficient ring's: no other module
+    builds (and so raises) a `SplitEvent`, and `rings` builds it in one place."""
+    import ast
+
+    package = Path(__file__).resolve().parent.parent / "src" / "annuli"
+    sites = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            # SplitEvent(...) anywhere, or a bare `raise SplitEvent`
+            target = node.func if isinstance(node, ast.Call) else node.exc if isinstance(node, ast.Raise) else None
+            name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+            if name == "SplitEvent":
+                sites.append(path.name)
+    assert sites == ["rings.py"]
