@@ -8,7 +8,9 @@ h_{k-1} = sum_j (-1)^j C(k-1-j, j) u^(k-1-2j) v^j (Macdonald, Symmetric
 Functions and Hall Polynomials, ch. I), so nothing is divided.  This module
 also holds the subresultant PRS in u over Q(sqrt d)[v] (:func:`uv_prs`), which
 runs on Python integers: one common denominator is cleared per input, and a
-coefficient in Z[sqrt d][v] is a pair of integer lists.
+coefficient in Z[sqrt d][v] is a pair of integer lists, computed with the
+Z[sqrt d] list kernel of :mod:`annuli.rings` (`_pmul`, `_pdivexact`,
+`_zz_prem`).
 
 A UV polynomial is a dict {u_degree: v_polynomial} with LaurentPoly values of
 nonnegative support.
@@ -20,7 +22,7 @@ from itertools import chain
 from math import comb
 
 from .laurent import LaurentPoly, poly_gcd, to_dense
-from .rings import _cleared, _zz_scalars, int_convolve, int_divexact, int_trim
+from .rings import _cleared, _pdivexact, _pmul, _ppow, _zz_prem, _zz_scalars, int_trim
 from .scalars import Scalar, ZERO
 
 UV = dict  # {int: LaurentPoly in v}
@@ -84,8 +86,9 @@ def uv_content(F: UV) -> LaurentPoly:
 # ---------------------------------------------------------------------------
 #
 # A v-polynomial over Z[sqrt d] is a pair (a, b) of integer lists (low -> high,
-# no trailing zeros) standing for a + b sqrt(d); over Q, b is [].  A
-# u-polynomial is a list of such pairs, indexed by u-degree.
+# each without trailing zeros) standing for a + b sqrt(d); over Q, b is None.
+# A u-polynomial is a list of such pairs, indexed by u-degree.  Their
+# arithmetic is the Z[sqrt d] list kernel of :mod:`annuli.rings`.
 
 
 def uv_prs(F: UV, G: UV) -> list[UV]:
@@ -113,7 +116,7 @@ def uv_prs(F: UV, G: UV) -> list[UV]:
             d = p.field_tag()
     a, b = _uv_to_zz(A, d), _uv_to_zz(B, d)
     out = [A, B]
-    g = h = ([1], [])
+    g = h = ([1], None if d == 1 else [])
     while len(b) > 1:
         delta = len(a) - len(b)
         r = _zz_prem(a, b, d)
@@ -137,7 +140,7 @@ def _uv_to_zz(F: UV, d: int) -> list:
     out, i = [], 0
     for row in rows:
         j = i + len(row)
-        out.append((int_trim(A[i:j]), int_trim(B[i:j]) if B is not None else []))
+        out.append((int_trim(A[i:j]), B and int_trim(B[i:j])))
         i = j
     return out
 
@@ -150,76 +153,6 @@ def _uv_from_zz(f: list, d: int) -> UV:
         if not p.is_zero():
             out[k] = p
     return out
-
-
-def _zz_prem(a: list, b: list, d: int) -> list:
-    """Pseudo-remainder lc(b)^(deg a - deg b + 1) a mod b in u, trimmed.
-
-    A monic b (lc(b) = 1) scales nothing, as in `rings.int_prem`.
-    """
-    lc = b[-1]
-    monic = lc == ([1], [])
-    db = len(b) - 1
-    r = list(a)
-    steps = len(a) - len(b) + 1
-    while r and len(r) - 1 >= db:
-        top, k = r[-1], len(r) - 1 - db
-        if not monic:
-            r = [_pmul(lc, c, d) for c in r]
-        for i, c in enumerate(b):
-            r[k + i] = _psub(r[k + i], _pmul(top, c, d))
-        while r and r[-1] == ([], []):
-            r.pop()
-        steps -= 1
-    if steps > 0 and r and not monic:
-        f = _ppow(lc, steps, d)
-        r = [_pmul(f, c, d) for c in r]
-    return r
-
-
-def _zadd(f: list, g: list) -> list:
-    if len(f) < len(g):
-        f, g = g, f
-    out = list(f)
-    for i, c in enumerate(g):
-        out[i] += c
-    return int_trim(out)
-
-
-def _zneg(f: list) -> list:
-    return [-c for c in f]
-
-
-def _zmul(f: list, g: list) -> list:
-    if not f or not g:
-        return []
-    return int_convolve(f, g, len(f) + len(g) - 1)
-
-
-def _psub(x: tuple, y: tuple) -> tuple:
-    return _zadd(x[0], _zneg(y[0])), _zadd(x[1], _zneg(y[1]))
-
-
-def _pmul(x: tuple, y: tuple, d: int) -> tuple:
-    (a, b), (c, e) = x, y
-    if not b and not e:
-        return _zmul(a, c), []
-    return _zadd(_zmul(a, c), [d * t for t in _zmul(b, e)]), _zadd(_zmul(a, e), _zmul(b, c))
-
-
-def _ppow(x: tuple, k: int, d: int) -> tuple:
-    out = ([1], [])
-    for _ in range(k):
-        out = _pmul(out, x, d)
-    return out
-
-
-def _pdivexact(x: tuple, y: tuple, d: int) -> tuple:
-    """x / y in Z[sqrt d][v], through the norm y * conj(y) when y has a surd part."""
-    if y[1]:
-        x = _pmul(x, (y[0], _zneg(y[1])), d)
-        y = (_zadd(_zmul(y[0], y[0]), [-d * t for t in _zmul(y[1], y[1])]), [])
-    return int_divexact(x[0], y[0]), (int_divexact(x[1], y[0]) if x[1] else [])
 
 
 def uv_eval_diag(F: UV) -> LaurentPoly:

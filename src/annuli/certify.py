@@ -50,8 +50,8 @@ from .local import (
     singular_parameters,
     tangency_delta,
 )
-from .rings import BranchState, Quotient, SCALARS, dense_divexact, explore_branches, quotient_gcd
-from .scalars import ZERO, Scalar
+from .rings import BranchState, SCALARS, dense_divexact, explore_branches, quotient_gcd
+from .scalars import Scalar
 from .series import TS
 
 
@@ -425,33 +425,14 @@ def _sym_eval(ring, u, fs) -> list:
 
     The power sums p_k = t^k + t'^k follow p_k = u p_(k-1) - v p_(k-2) and
     are shared by every f; sum_k c_(-k) p_(-k) = sum_k c_(-k) p_k / v^k is
-    read by Horner in 1/v.
-    `ring` is K = Q[v]/(m), or a "wu" level over K: a Quotient generated by
-    u, or a LinearQuotient (its elements are K's).  A product by v and a
-    quotient by v (1/v = -q(v)/m_0 for m = m_0 + v q(v), m_0 != 0) cost
-    O(deg m) scalar operations per element of K.  So the only ring
-    products are u p_(k-1), each coefficient is scaled by its scalar
-    directly, and nothing is inverted.
+    read by Horner in 1/v.  `ring` is K = Q[v]/(m) or a "wu" level over K;
+    it multiplies and divides by v (a unit: m(0) != 0) in O(deg m) steps per
+    element of K, so the only ring products are u p_(k-1).
     """
-    K = ring.base if ring.key == "wu" else ring
-    mul_v, div_v, scale = _v_ops(K)
-    if ring is not K and isinstance(ring, Quotient):
-        # K[u]/(g): v lies in K and acts on each coefficient separately
-        k_mul_v, k_div_v, k_scale = mul_v, div_v, scale
-
-        def mul_v(x):
-            return tuple(map(k_mul_v, x))
-
-        def div_v(x):
-            return tuple(map(k_div_v, x))
-
-        def scale(x, c):
-            return tuple(k_scale(y, c) for y in x)
-
     top = max((max(f.top(), -f.bot()) for f in fs if not f.is_zero()), default=0)
     pows = [ring.from_scalar(Scalar(2)), u]
     for _ in range(2, top + 1):
-        pows.append(ring.sub(ring.mul(u, pows[-1]), mul_v(pows[-2])))
+        pows.append(ring.sub(ring.mul(u, pows[-1]), ring.mul_gen(pows[-2], "wv")))
     half = Scalar("1/2")
     out = []
     for f in fs:
@@ -462,42 +443,14 @@ def _sym_eval(ring, u, fs) -> list:
         for k in range(-min(f.bot(), 0), 0, -1):
             c = f[-k]
             if not c.is_zero():
-                acc = ring.add(acc, scale(pows[k], c * half))
-            acc = div_v(acc)
+                acc = ring.add(acc, ring.scale(pows[k], c * half))
+            acc = ring.div_gen(acc, "wv")
         for k in range(max(f.top(), 0) + 1):
             c = f[k]
             if not c.is_zero():
-                acc = ring.add(acc, scale(pows[k], c * half))
+                acc = ring.add(acc, ring.scale(pows[k], c * half))
         out.append(acc)
     return out
-
-
-def _v_ops(K) -> tuple:
-    """(x -> v x, x -> x / v, (x, c) -> c x) on K = Q[v]/(m), v its generator."""
-    if not isinstance(K, Quotient):
-        # a linear m: K is the scalar field itself and v the nonzero root of m
-        v = K.gen()
-        vi = v.inv()
-        return (lambda x: x * v), (lambda x: x * vi), (lambda x, c: x * c)
-    m, n = K.mod, K.deg
-    r = -m[0].inv()
-
-    def mul_v(x):
-        top = x[-1]
-        if top.is_zero():
-            return (ZERO, *x[:-1])
-        return (-top * m[0], *(x[i - 1] - top * m[i] for i in range(1, n)))
-
-    def div_v(x):
-        c = x[0] * r
-        if c.is_zero():
-            return (*x[1:], ZERO)
-        return (*(x[i] + c * m[i] for i in range(1, n)), c)
-
-    def scale(x, c):
-        return tuple(y * c for y in x)
-
-    return mul_v, div_v, scale
 
 
 def verify_witness(curve: ParametricCurve, w: Witness) -> bool:

@@ -3,18 +3,21 @@
 A :class:`LaurentPoly` maps integer exponents to nonzero :class:`Scalar`
 coefficients; the zero polynomial is the empty map.  Plain polynomials
 (nonnegative support) reuse the same type.  :func:`to_dense` and
-:func:`from_dense` convert to and from coefficient lists; division, exact
-division and the Euclidean gcd run on those lists in the one dense kernel of
-:mod:`annuli.rings`, over :data:`~annuli.rings.SCALARS`.  Over Q the gcd is
-the heuristic integer gcd (GCDHEU) of :mod:`annuli.rings`, the one that also
-decides zero divisors in Q[s]/(m).
+:func:`from_dense` convert to and from coefficient lists; division and exact
+division run on those lists in the one dense kernel of :mod:`annuli.rings`,
+over :data:`~annuli.rings.SCALARS`.  The gcd is the one that also decides
+zero divisors in Q(sqrt d)[s]/(m): over Q the heuristic integer gcd (GCDHEU)
+of :mod:`annuli.rings`, and otherwise, or when it gives up, the primitive
+remainder sequence over Z[sqrt d] there, with no Euclid on rationals.
 """
 
 from __future__ import annotations
 
+from itertools import chain
+
 from ._ratio import QQ, int_gcd
 # NotDivisible is re-exported: LaurentPoly.divexact raises it
-from .rings import NotDivisible, SCALARS, _heuristic_gcd, _primitive_zz, dense_divexact, dense_divmod, quotient_gcd  # noqa: F401
+from .rings import NotDivisible, SCALARS, _field_tag, _heuristic_gcd, _primitive_zz, _zz_gcd, dense_divexact, dense_divmod  # noqa: F401
 from .scalars import Scalar, ZERO, ONE
 
 
@@ -277,15 +280,19 @@ def poly_divmod(f: LaurentPoly, g: LaurentPoly) -> tuple[LaurentPoly, LaurentPol
 def poly_gcd(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     """Monic gcd of plain polynomials; gcd(f, 0) = monic(f).
 
-    Over Q (field tag 1) the heuristic integer gcd answers; the Euclidean
-    loop runs over Q(sqrt d) and when the heuristic gives up.
+    Over Q (field tag 1) the heuristic integer gcd answers; the primitive
+    remainder sequence over Z or Z[sqrt d] of :func:`annuli.rings._zz_gcd`
+    runs over Q(sqrt d) and when the heuristic gives up.
     """
     a, b = to_dense(f), to_dense(g)
-    if a and b and f.field_tag() == 1 and g.field_tag() == 1:
+    if not a or not b:
+        return (f + g).monic()
+    d = _field_tag(chain(a, b))
+    if d == 1:
         h = _heuristic_gcd(_primitive_zz(a), _primitive_zz(b))
         if h is not None:
             return LaurentPoly({e: Scalar(QQ(c, h[-1])) for e, c in enumerate(h)})
-    return from_dense(quotient_gcd(SCALARS, a, b))
+    return from_dense(_zz_gcd(a, b, d))
 
 
 def squarefree_part(f: LaurentPoly) -> LaurentPoly:

@@ -21,17 +21,18 @@ element.  Over :data:`SCALARS` it is the field kernel of
 :mod:`annuli.laurent`; :meth:`Quotient.mul` is :func:`dense_mul` over the
 base, reduced modulo the modulus.
 
-Q[s]/(m) with a rational m computes on integers instead.  m is kept as a
-primitive integer list M; an element over Q is cleared to integers over one
-common denominator.  A product is one :func:`int_convolve` and one
-fraction-free reduction by M (:func:`int_prem`).  An inverse is a primitive
-remainder sequence of M and the element over Z (Brown & Traub, J. ACM 1971)
-that carries the cofactor as one integer list over one integer denominator.
-A zero decision is GCDHEU's gcd of M and the element (:func:`_heuristic_gcd`,
-also :func:`annuli.laurent.poly_gcd`'s), with that sequence when it gives
-up.  The monic gcd and the inverse are unique, so every value and every
-split (each built by :meth:`Quotient._split`) equals the Euclidean one over
-Q.  Q(sqrt d) moduli and towers keep the generic code.
+Q(sqrt d)[s]/(m) computes on integers instead.  A Z[sqrt d] list is a pair
+(A, B) of integer lists for A + B sqrt(d), B None over Q.  m is kept as a
+primitive pair M, with a rational leading coefficient as m is monic; an
+element is cleared to a pair over one common denominator.  A product is one
+:func:`_zz_mul` and one fraction-free reduction by M (:func:`int_prem`).  An
+inverse and a zero decision are one primitive remainder sequence over Z and
+Z[sqrt d] (:func:`_zz_euclid`; Brown & Traub, J. ACM 1971), with the
+cofactor for the inverse only, after GCDHEU (:func:`_heuristic_gcd`) for a
+decision over Q; :func:`annuli.laurent.poly_gcd` runs the same.  The monic
+gcd and the inverse are unique, so every value and every split (each built
+by :meth:`Quotient._split`) equals Euclid's over Q(sqrt d).  Towers keep
+the generic code.
 
 Every ring also carries the truncated-series kernels of :mod:`annuli.series`
 on coefficient lists: `convolve`, `unit_power` (Miller's recurrence),
@@ -123,6 +124,9 @@ class ScalarField:
     def to_repr(self, x) -> str:
         return repr(x)
 
+    def scale(self, x, c: Scalar):
+        return x * c
+
     def convolve(self, f: list, g: list, n: int) -> list:
         """The first n coefficients of the product of coefficient lists f and g.
 
@@ -154,7 +158,7 @@ class ScalarField:
         if not n:
             return [ONE]
         d = _field_tag(h)
-        (A, B), _ = _zz_rational_lead(_cleared(h, d)[0], d)
+        (A, B), _ = _zz_rational_lead(_cleared(h, d)[0], d, 0)
         L, A, B = A[0], A[1:], B and B[1:]
         p, q = alpha.numerator, alpha.denominator
         ql = q * L
@@ -302,14 +306,21 @@ def _zz_coeff(f: list, g: list, k: int) -> int:
     return sum(map(mul, f[: k + 1], g[k::-1]))
 
 
-def _zz_rational_lead(x: tuple, d: int) -> tuple:
-    """(x c, c) for the conjugate c = (c_a, c_b) of x_0, so that (x c)_0 is
+def _zz_rational_lead(x: tuple, d: int, i: int) -> tuple:
+    """(x c, c) for the conjugate c = (c_a, c_b) of x_i, so that (x c)_i is
     rational; c = (1, 0) when it already is."""
     a, b = x
-    if b is None or not b[0]:
+    if b is None or not b[i]:
         return x, (1, 0)
-    ca, cb = a[0], -b[0]
-    return ([u * ca + d * v * cb for u, v in zip(a, b)], [u * cb + v * ca for u, v in zip(a, b)]), (ca, cb)
+    return _zz_scale(x, (a[i], -b[i]), d), (a[i], -b[i])
+
+
+def _zz_scale(x: tuple, c: tuple, d: int) -> tuple:
+    """c x for a constant c = (c_a, c_b) of Z[sqrt d] and a Z[sqrt d] list x (parts of one length)."""
+    (a, b), (ca, cb) = x, c
+    if b is None:
+        return [ca * u for u in a], None
+    return [u * ca + d * v * cb for u, v in zip(a, b)], [u * cb + v * ca for u, v in zip(a, b)]
 
 
 def _zz_inverse(x: tuple, den: int, n: int, d: int) -> tuple:
@@ -321,7 +332,7 @@ def _zz_inverse(x: tuple, den: int, n: int, d: int) -> tuple:
     divided through by k!.  So V = den c sum_k X_k N^(n-1-k) tau^k and
     E = N^n.
     """
-    (xa, xb), (ca, cb) = _zz_rational_lead(x, d)
+    (xa, xb), (ca, cb) = _zz_rational_lead(x, d, 0)
     xb = xb or [0] * len(xa)
     N = xa[0]
     # (j, (x c)_j, its surd part, N^(j-1)) over the nonzero (x c)_j
@@ -380,34 +391,104 @@ def int_trim(f: list) -> list:
     return f
 
 
-def int_prem(f: list, g: list, quotient: bool = False) -> tuple[int, list, list]:
-    """Fraction-free division of integer lists: (k, q, r) with k f = q g + r.
-
-    r has length at most deg g and is not trimmed.  Each step clears the top
-    coefficient c by the factor lc(g) / gcd(c, lc(g)), and k is the product
-    of those factors.  q is [] unless `quotient` is set.
-    """
-    f = list(f)
-    n, L = len(g) - 1, g[-1]
-    q = [0] * (len(f) - n) if quotient else []
+def int_prem(f: tuple, g: tuple, d: int, quotient: bool = False) -> tuple:
+    """(k, q, r) with k f = q g + r, r of length deg g (untrimmed), for Z[sqrt d] lists
+    f, g (parts of one length) and a rational lc(g).  Each step scales by
+    lc(g) / gcd(c, lc(g)) over both parts of the top c; k is their product.
+    q is None unless `quotient` is set."""
+    (fa, fb), (ga, gb) = f, g
+    fa, fb = list(fa), None if fb is None else list(fb)
+    n, L = len(ga) - 1, ga[-1]
+    qa = [0] * (len(fa) - n) if quotient else None
+    qb = None if fb is None or not quotient else list(qa)
     k = 1
-    for top in range(len(f) - 1, n - 1, -1):
-        c = f[top]
-        if not c:
+    for top in range(len(fa) - 1, n - 1, -1):
+        c, e = fa[top], fb[top] if fb else 0
+        if not c and not e:
             continue
-        h = gcd(c, L)
-        a, c = L // h, c // h
+        h = gcd(c, e, L)
+        a, c, e = L // h, c // h, e // h
         if a != 1:
             k *= a
-            f[:top] = [v * a for v in f[:top]]
+            fa[:top] = [v * a for v in fa[:top]]
+            if fb is not None:
+                fb[:top] = [v * a for v in fb[:top]]
             if quotient:
-                q = [v * a for v in q]
-        d = top - n
+                qa, qb = [v * a for v in qa], qb and [v * a for v in qb]
+        s = top - n
         if quotient:
-            q[d] = c
+            qa[s] = c
+            if qb is not None:
+                qb[s] = e
+        if fb is None:
+            for i in range(n):
+                fa[s + i] -= c * ga[i]
+            continue
+        de = d * e
         for i in range(n):
-            f[d + i] -= c * g[i]
-    return k, q, f[:n]
+            fa[s + i] -= c * ga[i] + de * gb[i]
+            fb[s + i] -= c * gb[i] + e * ga[i]
+    return k, quotient and (qa, qb), (fa[:n], fb and fb[:n])
+
+
+def _zz_euclid(f: tuple, g: tuple, d: int, cofactor: bool) -> tuple:
+    """The last remainder of a primitive remainder sequence of Z[sqrt d]
+    lists f and g (Brown & Traub, J. ACM 1971), g != 0, deg g <= deg f.
+
+    Each remainder is multiplied by the conjugate of its leading coefficient
+    and divided by its rational-integer content: every pseudo-division then
+    scales by a rational integer, and each remainder is a rational multiple
+    of the monic Euclidean one, so no factor of Z[sqrt d] builds up.
+    Returns (r, T, e), r the gcd over Q(sqrt d) times a rational; with
+    `cofactor`, e r = T g modulo f for a Z[sqrt d] list T and an integer
+    e != 0 (kept in lowest terms), else T = e = None.
+    """
+
+    def normal(x):  # (x c / h, c, h): x trimmed, c the conjugate of lc(x), h the content of x c
+        a, b = x
+        n = len(a)
+        while not a[n - 1] and (b is None or not b[n - 1]):
+            n -= 1
+        (a, b), c = _zz_rational_lead((a[:n], b and b[:n]), d, n - 1)
+        h = gcd(*a, *b) if b else gcd(*a)
+        return ([v // h for v in a], b and [v // h for v in b]), c, h
+
+    r0, (r1, c, h) = f, normal(g)
+    T0, e0, T1, e1 = ([], None if d == 1 else []), 1, ([c[0]], None if d == 1 else [c[1]]), h
+    while len(r1[0]) > 1:
+        k, q, r = int_prem(r0, r1, d, cofactor)
+        if not any(r[0]) and not any(r[1] or ()):
+            break
+        r0, (r1, c, h) = r1, normal(r)
+        if cofactor:
+            # E r = c (k (E / e0) T0 - (E / e1) q T1) X / h  with E = lcm(e0, e1)
+            E = lcm(e0, e1)
+            T = _zz_comb(k * (E // e0), T0, E // e1, _pmul(q, T1, d))
+            if c != (1, 0):
+                T = _pmul(T, ([c[0]], [c[1]]), d)
+            (a, b), E = T, E * h
+            w = gcd(E, *a, *b) if b else gcd(E, *a)
+            T0, e0, T1, e1 = T1, e1, ([v // w for v in a], b and [v // w for v in b]), E // w
+    return (r1, T1, e1) if cofactor else (r1, None, None)
+
+
+def _zz_comb(a: int, x: tuple, b: int, y: tuple) -> tuple:
+    """a x - b y for integers a, b and Z[sqrt d] lists x, y, trimmed."""
+
+    def comb(f, g):
+        out = [a * v for v in f] + [0] * (len(g) - len(f))
+        for i, v in enumerate(g):
+            out[i] -= b * v
+        return int_trim(out)
+
+    return comb(x[0], y[0]), x[1] if x[1] is None else comb(x[1], y[1])
+
+
+def _zz_gcd(f: list, g: list, d: int) -> list:
+    """The monic gcd over Q(sqrt d) of nonzero trimmed scalar lists f and g, by :func:`_zz_euclid`."""
+    F, G = sorted((_cleared(x, d)[0] for x in (f, g)), key=lambda x: -len(x[0]))
+    r = _zz_euclid(F, G, d, False)[0]
+    return _zz_scalars(r, r[0][-1], d)
 
 
 def int_divexact(f: list, g: list) -> list:
@@ -426,6 +507,81 @@ def int_divexact(f: list, g: list) -> list:
     if any(f[:dg]):
         raise NotDivisible("inexact division in Z[t]")
     return q
+
+
+# Z[sqrt d] lists with each part trimmed on its own, for the subresultant
+# chain over Z[sqrt d][v] (:func:`annuli.bipoly.uv_prs`) and cofactors.
+
+
+def _zadd(f: list, g: list) -> list:
+    if len(f) < len(g):
+        f, g = g, f
+    out = list(f)
+    for i, c in enumerate(g):
+        out[i] += c
+    return int_trim(out)
+
+
+def _zneg(f: list) -> list:
+    return [-c for c in f]
+
+
+def _zmul(f: list, g: list) -> list:
+    if not f or not g:
+        return []
+    return int_convolve(f, g, len(f) + len(g) - 1)
+
+
+def _psub(x: tuple, y: tuple) -> tuple:
+    return _zadd(x[0], _zneg(y[0])), x[1] if y[1] is None else _zadd(x[1], _zneg(y[1]))
+
+
+def _pmul(x: tuple, y: tuple, d: int) -> tuple:
+    (a, b), (c, e) = x, y
+    if not b and not e:  # no surd part: b and e are both None (over Q) or both []
+        return _zmul(a, c), b
+    return _zadd(_zmul(a, c), [d * t for t in _zmul(b, e)]), _zadd(_zmul(a, e), _zmul(b, c))
+
+
+def _ppow(x: tuple, k: int, d: int) -> tuple:
+    out = [1], None if d == 1 else []
+    for _ in range(k):
+        out = _pmul(out, x, d)
+    return out
+
+
+def _pdivexact(x: tuple, y: tuple, d: int) -> tuple:
+    """x / y in Z[sqrt d][v], through the norm y * conj(y) when y has a surd part."""
+    if y[1]:
+        x = _pmul(x, (y[0], _zneg(y[1])), d)
+        y = (_zadd(_zmul(y[0], y[0]), [-d * t for t in _zmul(y[1], y[1])]), [])
+    return int_divexact(x[0], y[0]), x[1] and int_divexact(x[1], y[0])
+
+
+def _zz_prem(a: list, b: list, d: int) -> list:
+    """Pseudo-remainder lc(b)^(deg a - deg b + 1) a mod b in u, trimmed, for
+    lists a and b (indexed by u-degree) of Z[sqrt d] lists in v.
+
+    A monic b (lc(b) = 1) scales nothing, as in :func:`int_prem`.
+    """
+    lc = b[-1]
+    monic = lc[0] == [1] and not lc[1]
+    db = len(b) - 1
+    r = list(a)
+    steps = len(a) - len(b) + 1
+    while r and len(r) - 1 >= db:
+        top, k = r[-1], len(r) - 1 - db
+        if not monic:
+            r = [_pmul(lc, c, d) for c in r]
+        for i, c in enumerate(b):
+            r[k + i] = _psub(r[k + i], _pmul(top, c, d))
+        while r and not r[-1][0] and not r[-1][1]:
+            r.pop()
+        steps -= 1
+    if steps > 0 and r and not monic:
+        f = _ppow(lc, steps, d)
+        r = [_pmul(f, c, d) for c in r]
+    return r
 
 
 # Heuristic gcd (Char, Geddes & Gonnet, "GCDHEU", J. Symb. Comp. 1989): the
@@ -510,13 +666,13 @@ class Quotient:
         self.mod = modulus
         self.deg = len(modulus) - 1
         self.key = key
-        # Q[s]/(m) over Q computes on integers: m as the primitive integer
-        # list M, with a positive leading coefficient (None over any other base)
+        # M: m as a primitive Z[sqrt d] list over the scalars; _surd: a surd coefficient of m
         self.imod = None
-        if base is SCALARS and all(c.d == 1 for c in modulus):
-            nums = _cleared(modulus, 1)[0][0]
-            g = gcd(*nums)
-            self.imod = [c // g for c in nums]
+        if base is SCALARS:
+            self._surd = [c for c in modulus if c.d != 1][:1]
+            (A, B), _ = _cleared(modulus, _field_tag(self._surd))
+            h = gcd(*A, *(B or ()))
+            self.imod = [v // h for v in A], B and [v // h for v in B]
 
     # -- representation ---------------------------------------------------------
 
@@ -524,44 +680,42 @@ class Quotient:
         """The class of the base polynomial cs (low -> high) modulo the modulus."""
         cs = list(cs)
         if len(cs) > self.deg:
-            cs = self._reduce(cs)
+            ints = self._ints(cs)
+            if ints is not None:
+                d, ((X, den),) = ints
+                return self._from_ints(X, den, d)
+            b = self.base
+            while len(cs) > self.deg:
+                c, k = cs.pop(), len(cs) - self.deg
+                if not b.is_zero(c):
+                    for i in range(self.deg):
+                        cs[k + i] = b.sub(cs[k + i], b.mul(c, self.mod[i]))
         while len(cs) < self.deg:
             cs.append(self.base.zero())
         return tuple(cs)
 
-    def _ints(self, xs) -> tuple | None:
-        """(numerators, common denominator) of xs on the integer path, else None."""
-        if self.imod is None or any(c.d != 1 for c in xs):
+    def _ints(self, *xss) -> tuple | None:
+        """(d, [(X, den) for xs in xss]): the scalar lists xss cleared to
+        Z[sqrt d] lists, d the modulus's field tag or theirs; None over any
+        base but the scalars."""
+        if self.imod is None:
             return None
-        (nums, _), den = _cleared(xs, 1)
-        return nums, den
+        d = _field_tag(chain(self._surd, *xss))
+        return d, [_cleared(xs, d) for xs in xss]
 
-    def _from_ints(self, nums: list, den) -> tuple:
-        """The element sum_i (nums[i] / den) s^i of an integer list of length <= deg."""
-        out = _zz_scalars((nums, None), den, 1)
+    def _zz_mod(self, d: int) -> tuple:  # M, with zero surd parts for a rational m and d != 1
+        A, B = self.imod
+        return (A, [0] * len(A)) if B is None and d != 1 else self.imod
+
+    def _from_ints(self, P: tuple, den, d: int) -> tuple:
+        """The element P / den for a Z[sqrt d] list P: one fraction-free
+        reduction by M when P is longer than deg."""
+        k = 1
+        if len(P[0]) > self.deg:
+            k, _, P = int_prem(P, self._zz_mod(d), d)
+        out = _zz_scalars(P, den * k, d)
         out.extend([ZERO] * (self.deg - len(out)))
         return tuple(out)
-
-    def _int_reduce(self, P: list) -> tuple[list, int]:
-        """(R, k) with k P = R modulo M, len(R) <= deg: one fraction-free reduction."""
-        k, _, R = int_prem(P, self.imod)
-        return R, k
-
-    def _reduce(self, cs: list) -> list:
-        ints = self._ints(cs)
-        if ints is not None:
-            R, k = self._int_reduce(ints[0])
-            return list(self._from_ints(R, ints[1] * k))
-        b = self.base
-        cs = list(cs)
-        while len(cs) > self.deg:
-            c = cs.pop()
-            if b.is_zero(c):
-                continue
-            d = len(cs) - self.deg
-            for i in range(self.deg):
-                cs[d + i] = b.sub(cs[d + i], b.mul(c, self.mod[i]))
-        return cs
 
     def zero(self):
         return self.from_dense([])
@@ -594,13 +748,41 @@ class Quotient:
         return tuple(b.sub(u, v) for u, v in zip(x, y))
 
     def mul(self, x, y):
-        a = self._ints(x)
-        b = self._ints(y) if a is not None else None
-        if b is not None:
-            (xs, xd), (ys, yd) = a, b
-            R, k = self._int_reduce(int_convolve(xs, ys, len(xs) + len(ys) - 1))
-            return self._from_ints(R, xd * yd * k)
-        return self.from_dense(dense_mul(self.base, x, y))
+        ints = self._ints(x, y)
+        if ints is None:
+            return self.from_dense(dense_mul(self.base, x, y))
+        d, ((X, xd), (Y, yd)) = ints
+        return self._from_ints(_zz_mul(X, Y, 2 * self.deg - 1, d), xd * yd, d)
+
+    def scale(self, x, c: Scalar):
+        return tuple(self.base.scale(y, c) for y in x)
+
+    def mul_gen(self, x, key: str):
+        """x times the generator of level `key`: this ring's s, or that of a level below."""
+        if key != self.key:
+            return tuple(self.base.mul_gen(y, key) for y in x)
+        return self.from_dense((self.base.zero(), *x))
+
+    def div_gen(self, x, key: str):
+        """x over the generator of level `key` (s, a unit, or that of a level below):
+        (x - c m) / s for the c that clears x(0), fraction-free on integers,
+        with m as M times the conjugate of M(0) and N its rational constant term."""
+        if key != self.key:
+            return tuple(self.base.div_gen(y, key) for y in x)
+        ints = self._ints(x)
+        if ints is None:
+            b = self.base
+            c = b.mul(x[0], b.inv(self.mod[0]))
+            return tuple(b.sub(u, b.mul(c, m)) for u, m in zip(x[1:], self.mod[1:])) + (b.neg(c),)
+        d, ((X, den),) = ints
+        M = _zz_rational_lead(self._zz_mod(d), d, 0)[0]
+        N, a, e = M[0][0], X[0][0], X[1][0] if X[1] else 0
+        if not N:
+            raise DivisionByZero(f"the generator of level {key!r} is a zero divisor")
+        h = gcd(N, a, e)
+        n = N // h
+        Y = _zz_comb(n, X, 1, _zz_scale(M, (a // h, e // h), d))
+        return self._from_ints((Y[0][1:], Y[1] and Y[1][1:]), den * n, d)
 
     def convolve(self, f: list, g: list, n: int) -> list:
         """The first n coefficients of the product of coefficient lists f and g.
@@ -608,8 +790,9 @@ class Quotient:
         Each element's deg base coefficients are laid out in a zero-padded
         block of width 2*deg - 1, the length of an unreduced product, so one
         convolution over the base yields every output coefficient unreduced;
-        each is then reduced once modulo the monic modulus.  Nothing is
-        inverted, so nothing splits.
+        each is then reduced once modulo the monic modulus.  Over the scalars
+        the convolution and the reductions run on Z[sqrt d] lists over one
+        common denominator.  Nothing is inverted, so nothing splits.
         """
         if n <= 0:
             return []
@@ -619,8 +802,14 @@ class Quotient:
         def rows(xs):
             return [c for x in xs[:n] for c in chain(x, pad)]
 
-        flat = self.base.convolve(rows(f), rows(g), n * w)
-        return [self.from_dense(flat[k * w : (k + 1) * w]) for k in range(n)]
+        F, G = rows(f), rows(g)
+        ints = self._ints(F, G)
+        if ints is None:
+            flat = self.base.convolve(F, G, n * w)
+            return [self.from_dense(flat[k * w : (k + 1) * w]) for k in range(n)]
+        d, ((FI, fden), (GI, gden)) = ints
+        A, B = _zz_mul(FI, GI, n * w, d)
+        return [self._from_ints((A[k * w : (k + 1) * w], B and B[k * w : (k + 1) * w]), fden * gden, d) for k in range(n)]
 
     def unit_power(self, h: list, alpha) -> list:
         """(h / h_0)^alpha to len(h) terms, for a unit h_0 and a rational alpha.
@@ -697,21 +886,19 @@ class Quotient:
         """Branchwise zero decision; raises SplitEvent on proper zero divisors.
 
         A nonzero x splits the modulus on its gcd with x when that is not
-        constant.  On the integer path the gcd is GCDHEU's, with
-        :meth:`_int_euclid` when it gives up; else Euclid's over the base.
+        constant.  Over the scalars the gcd is :func:`_zz_euclid`'s, after
+        GCDHEU's over Q; over any other base it is Euclid's.
         """
-        b = self.base
-        if all(b.is_zero(c) for c in x):
+        if self.is_zero(x):
             return True
-        if self._ints(x) is None:
-            g = quotient_gcd(b, self.mod, x)
+        ints = self._ints(x)
+        if ints is None:
+            g = quotient_gcd(self.base, self.mod, x)
         else:
-            X = int_trim(_primitive_zz(x))
-            G = _heuristic_gcd(self.imod, X)
-            if G is None:
-                self._int_euclid(X)
-                return False
-            g = _zz_scalars((G, None), G[-1], 1)
+            d, ((X, _),) = ints
+            G = _heuristic_gcd(self.imod[0], int_trim(_primitive_zz(x))) if d == 1 else None
+            r = (G, None) if G else _zz_euclid(self._zz_mod(d), X, d, False)[0]
+            g = _zz_scalars(r, r[0][-1], d)
         if len(g) > 1:
             raise self._split(g)
         return False
@@ -728,12 +915,16 @@ class Quotient:
 
     def inv(self, x):
         b = self.base
-        if all(b.is_zero(c) for c in x):
+        if self.is_zero(x):
             raise DivisionByZero("inverse of zero in quotient ring")
         ints = self._ints(x)
         if ints is not None:
-            T, e = self._int_euclid(ints[0])
-            return self._from_ints([ints[1] * c for c in T], e)
+            d, ((X, den),) = ints
+            r, T, e = _zz_euclid(self._zz_mod(d), X, d, True)
+            if len(r[0]) > 1:
+                raise self._split(_zz_scalars(r, r[0][-1], d))
+            # X T = e r(0) modulo M, and x = X / den
+            return self._from_ints(([den * v for v in T[0]], T[1] and [den * v for v in T[1]]), e * r[0][0], d)
         g, s = self._half_xgcd(list(self.mod), list(x))
         if len(g) == 1:
             ginv = b.inv(g[0])
@@ -747,40 +938,6 @@ class Quotient:
         return SplitEvent(self.key, tuple(g), tuple(dense_divexact(self.base, self.mod, g)))
 
     # -- polynomial helpers over the base ------------------------------------------
-
-    def _int_euclid(self, X: list) -> tuple[list, int]:
-        """Decide the integer list X (not zero modulo M) by a primitive
-        remainder sequence of M and X over Z.
-
-        A nonconstant gcd splits the modulus on its monic form, as the
-        Euclidean gcd over Q splits, since the monic gcd is unique.
-        Otherwise X is a unit, and the result is (T, e), an integer list of
-        length at most deg M (the Euclidean cofactor's degree bound) and a
-        nonzero integer with T X = e modulo M.  Each remainder r_i keeps such
-        a pair for e_i r_i = T_i X, and (T_i, e_i) is kept in lowest terms.
-        """
-        r0, r1 = self.imod, int_trim(list(X))
-        c = gcd(*r1)
-        r1 = [v // c for v in r1]
-        T0, e0, T1, e1 = [], 1, [1], c
-        while len(r1) > 1:
-            k, q, r = int_prem(r0, r1, quotient=True)
-            int_trim(r)
-            if not r:
-                raise self._split(_zz_scalars((r1, None), r1[-1], 1))
-            c = gcd(*r)
-            r0, r1 = r1, [v // c for v in r]
-            # e r = k (E / e0) T0 X - (E / e1) q T1 X  with E = lcm(e0, e1)
-            E = lcm(e0, e1)
-            a, b = k * (E // e0), E // e1
-            qT = int_convolve(q, T1, len(q) + len(T1) - 1)
-            T = [a * u for u in T0] + [0] * (len(qT) - len(T0))
-            for i, v in enumerate(qT):
-                T[i] -= b * v
-            int_trim(T)
-            h = gcd(E * c, *T)
-            T0, e0, T1, e1 = T1, e1, [v // h for v in T], E * c // h
-        return T1, e1 * r1[0]
 
     def _half_xgcd(self, a: list, bb: list) -> tuple[list, list]:
         """Monic gcd of a, bb over base plus Bezout coefficient for bb.
@@ -822,7 +979,7 @@ class LinearQuotient:
     _BASE_OPS = (
         "zero", "one", "from_scalar", "add", "neg", "sub", "mul", "inv",
         "is_zero", "decide_zero", "eq", "as_scalar", "to_repr", "convolve",
-        "unit_power", "reversion", "compose",
+        "unit_power", "reversion", "compose", "scale",
     )
 
     def __init__(self, base, root, key: str):
@@ -846,6 +1003,14 @@ class LinearQuotient:
         for c in reversed(cs):
             acc = b.add(b.mul(acc, self.root), c)
         return acc
+
+    def mul_gen(self, x, key: str):
+        """x times the generator of level `key`: the root, or the generator of a level below."""
+        return self.base.mul(x, self.root) if key == self.key else self.base.mul_gen(x, key)
+
+    def div_gen(self, x, key: str):
+        """x over the generator of level `key`: the root, or the generator of a level below."""
+        return self.base.mul(x, self.base.inv(self.root)) if key == self.key else self.base.div_gen(x, key)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from annuli._ratio import QQ
 from annuli import io
 from annuli.bipoly import double_point_system, poly_eval_ring, uv_deg, uv_eval_diag, uv_eval_ring, uv_prs
 from annuli.catalog import gen_series, series_id
-from annuli import certify
+from annuli import certify, rings
 from annuli.certify import (
     BoundTooSmall,
     InjectivityCertificate,
@@ -600,6 +600,60 @@ def test_degree_39_witness_certifies_and_verifies_in_bounded_time():
     assert [w.v_factor.top() for w in cert.witnesses] == [39]
     assert ok == [True]
     assert elapsed < 2.0, f"certificate and verification took {elapsed:.2f} s of CPU time"
+
+
+def test_tangent_sqrt_minus_3_curve_certifies_in_bounded_time():
+    """A tangent curve over Q(sqrt -3) whose eliminant has degree 36: the
+    squarefree part, the fiber decisions and the inverse that makes the
+    fiber gcd monic run on Z[sqrt -3] integers.  Verdict and witness are
+    pinned to the values of the Fraction Euclid, which took about a minute."""
+    import hashlib
+    import json
+
+    def r(a, b=0):
+        return Scalar(a, b, -3)
+
+    c = ParametricCurve(
+        LaurentPoly({4: r(1, 2), 2: r(2, 1), 1: r(3), 0: r(-1, 2), -1: r(3, 1), -3: r(-2, 2), -4: r(4, 8)}),
+        LaurentPoly({6: r(3), 4: r(1), 3: r(1, -2), 2: r(-1), 1: r(3), -2: r(0, -2), -3: r(1), -4: r(1), -5: r(3, 1), -6: r(24)}),
+    )
+    start = time.process_time()
+    cert = injectivity_certificate(c)
+    elapsed = time.process_time() - start
+    assert cert.verdict == "SelfIntersection" and len(cert.witnesses) == 1
+    w = cert.witnesses[0]
+    assert w.v_factor.top() == 34
+    assert repr(w.v_factor).startswith("t^34 - 19*t^33 + (-3103/169+2943/169*sqrt(-3))*t^32 + ")
+    digest = hashlib.sha256(json.dumps(cert.as_dict(), sort_keys=True).encode()).hexdigest()
+    assert digest == "fc2bd7224e936e8563b2d0ef48f7543161cd0df143f12d8ef097451e20843f6d"
+    assert verify_witness(c, w)
+    assert elapsed < 10.0, f"certificate took {elapsed:.2f} s of CPU time"
+
+
+def test_fields_round_runs_no_fraction_euclid_over_the_scalars(monkeypatch):
+    """A `fields` round at scale 1/16: every inverse, zero decision and gcd
+    over Q(sqrt d) runs on integers, with no `_half_xgcd` and no Euclidean
+    `quotient_gcd` over the scalars."""
+    calls = []
+    half_xgcd, euclid = Quotient._half_xgcd, rings.quotient_gcd
+
+    def spy_half(self, a, b):
+        calls.append("half_xgcd")
+        return half_xgcd(self, a, b)
+
+    def spy_gcd(ring, f, g):
+        if ring is SCALARS:
+            calls.append("quotient_gcd")
+        return euclid(ring, f, g)
+
+    monkeypatch.setattr(Quotient, "_half_xgcd", spy_half)
+    monkeypatch.setattr(rings, "quotient_gcd", spy_gcd)
+    monkeypatch.setattr(certify, "quotient_gcd", spy_gcd)
+    texts = _workload_inputs("fields", 1, 1 / 16)
+    for text in texts:
+        analyze_curve(io.parse_curve_file(text))
+    assert len(texts) >= 20
+    assert calls == []
 
 
 def test_witness_transforms_with_automorphisms():

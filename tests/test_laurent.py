@@ -185,6 +185,24 @@ def test_poly_gcd_matches_euclidean_loop(f, g, c, shape):
     assert poly_gcd(g, f) == euclid(g, f)
 
 
+@given(
+    st.sampled_from([2, 5, -3]).flatmap(lambda d: st.tuples(surd_polys(d, 5), surd_polys(d, 5), surd_polys(d, 3))),
+    st.sampled_from(["plain", "planted", "divides", "constant"]),
+)
+@settings(max_examples=150, deadline=None)
+def test_poly_gcd_over_quadratic_fields_matches_euclidean_loop(fgc, shape):
+    """Over Q(sqrt d) the primitive remainder sequence over Z[sqrt d] gives Euclid's monic gcd."""
+    f, g, c = fgc
+    if shape == "planted":
+        f, g = f * c, g * c
+    elif shape == "divides":
+        g = f * c
+    elif shape == "constant":
+        g = LaurentPoly.const(c[0]) if not c[0].is_zero() else LaurentPoly.const(1)
+    assert poly_gcd(f, g) == euclid(f, g)
+    assert poly_gcd(g, f) == euclid(g, f)
+
+
 def test_heuristic_gcd_finds_planted_factor_with_64_bit_coefficients():
     common = make_poly(2**64 - 59, -(2**63) + 25, 3)
     f = common * make_poly(2**61 + 1, 7, -(2**64))

@@ -373,10 +373,14 @@ def _rooted_point_chains(curve, factor):
     def run(window):
         def fn(st_):
             R = st_.quotient(SCALARS, "pt", to_dense(factor))
-            xs = _shifted_series(R, curve.phi, window).normalized()
+            # the coordinate of smaller order at the point, x on a tie, as analyze_point documents
+            xs, ys = (_shifted_series(R, f, window) for f in (curve.phi, curve.psi))
+            if ys.order() < xs.order():
+                xs, ys = ys, xs
+            xs = xs.normalized()
             n = xs.order()
             R2, tau = _rooted_standard_form(st_, R, "rt", xs, n)
-            ys = _shifted_series(R, curve.psi, window).lift(R2)
+            ys = ys.lift(R2)
             chain = scan_chain(R2, _compose_laurent_series(ys, R2, tau, window), n, 1)
             return repr(from_dense(st_.modulus("pt", to_dense(factor)))), chain
 

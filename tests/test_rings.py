@@ -405,7 +405,7 @@ def _elements(R):
 @settings(max_examples=60, deadline=None)
 def test_integer_quotient_arithmetic_matches_the_fraction_reference(data):
     R = data.draw(rational_quotients(), label="R")
-    assert R.imod is not None and R.imod[-1] > 0
+    assert R.imod[1] is None and R.imod[0][-1] > 0
     x, y = data.draw(_elements(R), label="x"), data.draw(_elements(R), label="y")
     assert R.mul(x, y) == _reference_reduce(R.mod, dense_mul(SCALARS, x, y))
     long = data.draw(st.lists(scalars_in(1), max_size=3 * R.deg), label="long")
@@ -440,7 +440,7 @@ def test_integer_quotient_splits_planted_zero_divisors_as_euclid(data):
 
 
 def test_rational_moduli_run_no_fraction_euclid(monkeypatch):
-    """The Fraction Euclid `_half_xgcd` runs over Q(sqrt d) moduli and towers only."""
+    """The Fraction Euclid `_half_xgcd` runs over towers only."""
     from annuli.certify import injectivity_certificate, verify_witness
     from annuli.curves import ParametricCurve
 
@@ -461,7 +461,75 @@ def test_rational_moduli_run_no_fraction_euclid(monkeypatch):
     cert = injectivity_certificate(c)
     assert cert.verdict == "SelfIntersection" and all(verify_witness(c, w) for w in cert.witnesses)
     assert "rational" not in calls
-    # a surd modulus keeps the Fraction Euclid
+    # a surd modulus, and a surd element over a rational modulus, take no Fraction Euclid either
     S = Quotient(SCALARS, [Scalar.sqrt_of(2), Scalar(0), Scalar(1)], "wv")
-    S.inv(S.gen())
-    assert calls[-1] == "other"
+    assert S.mul(S.inv(S.gen()), S.gen()) == S.one()
+    y = R.from_dense([Scalar(1, 2, 5), Scalar(0, -1, 5)])
+    assert R.mul(R.inv(y), y) == R.one()
+    assert calls == []
+    # only a tower reaches it
+    T = Quotient(S, [S.neg(S.gen()), S.zero(), S.one()], "rt")
+    T.inv(T.gen())
+    assert calls == ["other"]
+
+
+# -- Q(sqrt d)[s]/(m) on Z[sqrt d] integers, against the same Fraction reference --
+
+
+def _surd_poly(d, deg):
+    """Lists of deg + 1 scalars of Q(sqrt d) with small parts and a nonzero leading coefficient."""
+    part = st.tuples(st.integers(-9, 9), st.integers(1, 6)).map(lambda nd: QQ(*nd))
+    coeff = st.tuples(part, part).map(lambda ab: Scalar(ab[0], ab[1], d))
+    return st.lists(coeff, min_size=deg + 1, max_size=deg + 1).filter(lambda cs: not cs[-1].is_zero())
+
+
+@st.composite
+def surd_quotients(draw, d, surd_modulus):
+    """A Quotient over Q(sqrt d): a surd modulus, or a rational one whose elements are surd."""
+    deg = draw(st.integers(2, 7))
+    if not surd_modulus:
+        return Quotient(SCALARS, draw(_rational_poly(deg)), "wv")
+    monic = _surd_poly(d, deg).map(lambda cs: [c / cs[-1] for c in cs])
+    return Quotient(SCALARS, draw(monic.filter(lambda cs: any(c.d != 1 for c in cs))), "wv")
+
+
+@pytest.mark.parametrize("surd_modulus", [True, False])
+@pytest.mark.parametrize("d", [2, 5, -3])
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_surd_quotient_arithmetic_matches_the_fraction_reference(d, surd_modulus, data):
+    R = data.draw(surd_quotients(d, surd_modulus), label="R")
+    assert (R.imod[1] is None) != surd_modulus and R.imod[0][-1] > 0
+    elements = st.lists(scalars_in(d), min_size=R.deg, max_size=R.deg).map(tuple)
+    x, y = data.draw(elements, label="x"), data.draw(elements, label="y")
+    assert R.mul(x, y) == _reference_reduce(R.mod, dense_mul(SCALARS, x, y))
+    long = data.draw(st.lists(scalars_in(d), max_size=3 * R.deg), label="long")
+    assert R.from_dense(long) == _reference_reduce(R.mod, long)
+    f = data.draw(st.lists(elements, max_size=3), label="f")
+    g = data.draw(st.lists(elements, max_size=3), label="g")
+    n = data.draw(st.integers(1, len(f) + len(g) + 1), label="n")
+    assert R.convolve(f, g, n) == _reference_convolve(R, f, g, n)
+    ref = _outcome(_reference_inv, R, x)
+    assert _outcome(R.inv, x) == ref
+    assert _outcome(R.decide_zero, x) == (ref if ref[0] == "split" else ("value", ref == "zero"))
+    # products and quotients by the generator s
+    assert R.mul_gen(x, "wv") == _reference_reduce(R.mod, [Scalar(0), *x])
+    if not R.mod[0].is_zero():
+        assert R.mul(R.div_gen(x, "wv"), R.gen()) == x
+
+
+@pytest.mark.parametrize("d", [2, 5, -3])
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_surd_quotient_splits_planted_zero_divisors_as_euclid(d, data):
+    p = data.draw(_surd_poly(d, data.draw(st.integers(1, 4))), label="p")
+    q = data.draw(st.one_of(_surd_poly(d, data.draw(st.integers(1, 4))), _rational_poly(2)), label="q")
+    R = Quotient(SCALARS, dense_mul(SCALARS, p, q), "wv")
+    r = data.draw(_surd_poly(d, data.draw(st.integers(0, len(q) - 2))), label="r")
+    x = R.from_dense(dense_mul(SCALARS, p, r))  # p r, not zero since deg r < deg q
+    ref = _outcome(_reference_inv, R, x)
+    assert ref[0] == "split"
+    assert _outcome(R.inv, x) == ref
+    assert _outcome(R.decide_zero, x) == ref
+    assert _outcome(R.inv, R.zero()) == "zero"
+    assert R.decide_zero(R.zero()) is True
