@@ -156,6 +156,27 @@ WORKLOAD = textwrap.dedent(
     pairs = [(common * surd_poly(14, k), common * surd_poly(12, k + 7)) for k in range(30)]
     out["gcd_surd"] = best(lambda: [poly_gcd(f, g) for f, g in pairs])
 
+    # the Taylor shift at a rational point: a Laurent polynomial with a pole
+    # of order 3 at c + tau, to 64 terms, as a finite point's expansion runs it
+    from annuli.series import laurent_at_shifted_point
+
+    f = LaurentPoly({e: Scalar(ratio.QQ(3 * e * e - 7, 2 * e + 11)) for e in range(-3, 18)})
+    center = Scalar(ratio.QQ(-5, 4))
+    out["taylor_shift_rational"] = best(lambda: [laurent_at_shifted_point(SCALARS, f, center, 64) for _ in range(50)])
+
+    # the semigroup oracle at every finite point of the grid, on its branch
+    # series, with the bound of acceptance criterion 8
+    from annuli.certify import delta_semigroup_oracle
+    from annuli.local import branch_series_at_point
+
+    oracle_inputs = []
+    for sid in default_grid():
+        c = gen_series(sid)
+        for e in ph_ledger(c).finite:
+            bound = e.mu + e.n + 4
+            oracle_inputs += [(r, xs, ys, bound) for _, r, xs, ys in branch_series_at_point(c, e.factor, bound + 2)]
+    out["semigroup_oracle_grid"] = best(lambda: [delta_semigroup_oracle(*a) for a in oracle_inputs])
+
     print(json.dumps(out))
     """
 )

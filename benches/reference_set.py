@@ -1,7 +1,9 @@
 """Print one `label sha256` line per record of the reference report set.
 
 The records are `reports.analyze_curve` and `reports.verify_catalog_entry` at
-every point of `catalog.default_grid()`, and `reports.analyze_curve` on every
+every point of `catalog.default_grid()`, with `certify.oracle_delta_at_factor`
+at each of its finite singular points (bound mu + n + 4, as acceptance
+criterion 8 and the benchmark use), and `reports.analyze_curve` on every
 `refute` and `fields` input of benchmark seeds 1 and 2
 (`annuli_bench.workloads.make_inputs`).  A record that raises hashes its
 exception instead.  Two trees give byte-identical reports when their outputs
@@ -21,7 +23,7 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]
 
-from annuli import catalog, io, reports  # noqa: E402
+from annuli import catalog, certify, io, reports  # noqa: E402
 from annuli_bench.workloads import make_inputs  # noqa: E402
 
 SEEDS = (1, 2)
@@ -40,10 +42,20 @@ def _analyze(curve) -> str:
     return f"{code}\n{reports.report_json(report)}"
 
 
+def _oracle(sid) -> str:
+    curve = catalog.gen_series(sid)
+    out = []
+    for e in certify.ph_ledger(curve).finite:
+        deltas = certify.oracle_delta_at_factor(curve, e.factor, bound=e.mu + e.n + 4)
+        out.append([repr(e.factor), [[repr(f), dl] for f, dl in deltas]])
+    return json.dumps(out)
+
+
 def main() -> int:
     for sid in catalog.default_grid():
         print(f"grid analyze {sid}", _digest(lambda: _analyze(catalog.gen_series(sid))), flush=True)
         print(f"grid verify {sid}", _digest(lambda: json.dumps(reports.verify_catalog_entry(sid), sort_keys=True)), flush=True)
+        print(f"grid oracle {sid}", _digest(lambda: _oracle(sid)), flush=True)
     for workload in ("refute", "fields"):
         for seed in SEEDS:
             for label, text in make_inputs(workload, seed):

@@ -50,7 +50,8 @@ from .local import (
     singular_parameters,
     tangency_delta,
 )
-from .rings import BranchState, SCALARS, dense_divexact, explore_branches, quotient_gcd
+from .rings import BranchState, LinearQuotient, SCALARS, dense_divexact, explore_branches, quotient_gcd
+from .rings import _cleared, _field_tag, _zz_mul, _zz_scale
 from .scalars import Scalar
 from .series import TS
 
@@ -669,31 +670,41 @@ def delta_semigroup_oracle(ring, xs: TS, ys: TS, bound: int) -> int:
 
     Standard-basis style closure: keep one reduced element per order, close
     under multiplication by x and y, then count gaps below the conductor.
+
+    An element el of the order o of a kept element `have` is reduced to
+    have_o el - el_o have, which is have_o (el - (el_o / have_o) have).  Both
+    leading coefficients were decided nonzero, so they are units on this
+    branch, and an element times a unit u has the same order.  Each of its
+    coefficients u x is decided zero exactly when x is, with the same split
+    on a zero divisor, as gcd(m, u x) = gcd(m, x) for a unit u modulo m.  So
+    every order and every split is the one of the quotient form, and nothing
+    is inverted.  Over Q and Q(sqrt d) (:class:`_IntegerClosure`) the series
+    are cleared to integers once, and each element is scaled by the
+    conjugate of its leading coefficient, a unit too, and divided by its
+    integer content: no rational is built.
     """
-    basis: dict[int, TS] = {}
-    queue = [xs, ys]
+    arith = (_IntegerClosure if _over_scalars(ring) else _RingClosure)(ring, xs, ys, bound + 1)
+    basis: dict = {}
+    queue = list(arith.gens)
     guard = 0
     while queue:
-        sref = queue.pop()
+        el = queue.pop()
         guard += 1
         if guard > 4000:
             raise BoundTooSmall("semigroup closure did not stabilize")
-        el = sref
         while True:
-            el = el.normalized(decide=True)
-            if not el.cs:
+            found = arith.normalized(el)
+            if found is None:
                 break
-            o = el.val
+            o, el = found
             if o >= bound:
                 break
             have = basis.get(o)
             if have is None:
                 basis[o] = el
-                queue.append(el.mul(xs).truncate(bound + 1))
-                queue.append(el.mul(ys).truncate(bound + 1))
+                queue.extend(arith.times(el))
                 break
-            c = ring.mul(el.coeff(o), ring.inv(have.coeff(o)))
-            el = el.sub(have.scale(c))
+            el = arith.reduce(el, have)
     orders = sorted(basis)
     if not orders:
         raise BoundTooSmall("no finite orders below the bound")
@@ -715,6 +726,69 @@ def delta_semigroup_oracle(ring, xs: TS, ys: TS, bound: int) -> int:
     if conductor is None:
         raise BoundTooSmall(f"conductor not reached below {bound}")
     return sum(1 for i in range(1, conductor) if not reach[i])
+
+
+def _over_scalars(ring) -> bool:
+    """Whether the elements of `ring` are scalars: Q(sqrt d), or a rational point over it."""
+    return ring is SCALARS or isinstance(ring, LinearQuotient) and ring.base is SCALARS
+
+
+class _RingClosure:
+    """The closure's elements over any ring: series."""
+
+    def __init__(self, ring, xs: TS, ys: TS, cap: int):
+        self.ring, self.gens, self.cap = ring, (xs, ys), cap
+
+    def normalized(self, el):
+        """(order, el) with the leading zeros of el decided and dropped; None
+        when el is zero to its precision."""
+        s = el.normalized(decide=True)
+        return (s.val, s) if s.cs else None
+
+    def times(self, el) -> list:
+        return [el.mul(g).truncate(self.cap) for g in self.gens]
+
+    def reduce(self, el, have):
+        r, e0, h0 = self.ring, el.cs[0], have.cs[0]
+        return TS(r, el.val, [r.sub(r.mul(h0, a), r.mul(e0, b)) for a, b in zip(el.cs, have.cs)])
+
+
+class _IntegerClosure:
+    """The closure's elements over Q(sqrt d): (val, A, B) for the series
+    sum (A_i + B_i sqrt d) tau^(val + i), B None over Q; a normalized one is
+    primitive, with a rational leading coefficient A_0."""
+
+    def __init__(self, ring, xs: TS, ys: TS, cap: int):
+        self.d = d = _field_tag(xs.cs + ys.cs)
+        self.gens = [(s.val, *_cleared(s.cs, d)[0]) for s in (xs, ys)]
+        self.cap = cap
+
+    def normalized(self, el):
+        """(order, el) for el without its leading zeros, times the conjugate of
+        its leading coefficient, over its integer content; None when el is
+        zero to its precision."""
+        val, a, b = el
+        i = next((i for i, x in enumerate(a) if x or (b and b[i])), None)
+        if i is None:
+            return None
+        a, b = a[i:], b and b[i:]
+        if b and b[0]:
+            a, b = _zz_scale((a, b), (a[0], -b[0]), self.d)
+        g = gcd(*a, *b) if b else gcd(*a)
+        return val + i, (val + i, [x // g for x in a], b and [x // g for x in b])
+
+    def times(self, el) -> list:
+        val, a, b = el
+        out = []
+        for gval, ga, gb in self.gens:
+            n = min(len(a), len(ga), self.cap - val - gval)
+            out.append((val + gval, *_zz_mul((a, b), (ga, gb), max(n, 0), self.d)))
+        return out
+
+    def reduce(self, el, have):
+        (o, a, b), (_, ha, hb) = el, have
+        e0, h0 = a[0], ha[0]
+        return o, [h0 * x - e0 * y for x, y in zip(a, ha)], b and [h0 * x - e0 * y for x, y in zip(b, hb)]
 
 
 def oracle_delta_at_factor(curve: ParametricCurve, factor: LaurentPoly, bound: int = 60) -> list:

@@ -25,20 +25,20 @@ lives in.  `_standard_form` brings the base coordinate x = lead tau^v0
 (1 + h(tau)), of signed order v0, to x = lead sigma^v0 with sigma =
 tau (1 + h)^(1/v0), and reverts sigma(tau).  The reversion's Lagrange
 series tau / sigma(tau) = (1 + h)^(-1/v0) is one Miller recurrence
-(`TS.unit_power`, which is also the package's series inverse and its
-(c + tau)^(-pole) at a point), so for either sign of v0 no series is
-inverted.  `_compose_laurent_series` then expands the other coordinate in
-sigma: a Laurent polynomial at a place, a truncated series at a finite
-point.  Each of the three steps is a method of the branch's coefficient
-ring (`unit_power`, `reversion`, `compose`): on integers over Q and
-Q(sqrt d), so a place and a rational point expand on integers, and element
-by element over the quotient ring of a conjugate point.  Powers of ring
-elements (the coset automaton's zeta^j, the roots g^k) all go through
-`rings.ring_pow`.  The standard form proper, x = (g sigma)^v0 with
-g^|v0| = lead, would multiply the sigma^k coefficient by the unit
-g^(-k sign v0): the same coefficients vanish, so the characteristic data
-need no root of lead.  Only the tangency automaton compares coefficient
-values across the two places; `_rooted_series` adjoins g there.
+(`TS.unit_power`, which is also the package's series inverse), so for
+either sign of v0 no series is inverted.  `_compose_laurent_series` then
+expands the other coordinate in sigma: a Laurent polynomial at a place, a
+truncated series at a finite point.  Each of the three steps is a method
+of the branch's coefficient ring (`unit_power`, `reversion`, `compose`):
+on integers over Q and Q(sqrt d), so a place and a rational point expand
+on integers, and element by element over the quotient ring of a conjugate
+point.  Powers of ring elements (the coset automaton's zeta^j, the roots
+g^k) all go through `rings.ring_pow`.  The standard form proper,
+x = (g sigma)^v0 with g^|v0| = lead, would multiply the sigma^k
+coefficient by the unit g^(-k sign v0): the same coefficients vanish, so
+the characteristic data need no root of lead.  Only the tangency
+automaton compares coefficient values across the two places;
+`_rooted_series` adjoins g there.
 """
 
 from __future__ import annotations
@@ -60,10 +60,6 @@ class PlaceNotAtInfinity(ValueError):
 
 class TangentCase(ArithmeticError):
     """ps = rq: the caller must use the tangency analysis."""
-
-
-class IncompleteBranch(ArithmeticError):
-    """Invariants requested from a branch whose chain did not resolve."""
 
 
 class ImproperParametrization(ArithmeticError):
@@ -173,12 +169,6 @@ def milnor_from_exponents(char_exps: list, dchain: list) -> int:
     for e, d_prev, d in zip(char_exps, dchain, dchain[1:]):
         mu += (e - 1) * (d_prev // d - 1) * d
     return mu
-
-
-def codimension_nu(chain: ChainData) -> int:
-    if chain.dchain[-1] != 1:
-        raise IncompleteBranch("characteristic chain not resolved")
-    return chain.nu
 
 
 def ext_codim_point(n: int, nu: int) -> int:
@@ -348,7 +338,8 @@ def branch_series_at_point(curve: ParametricCurve, factor: LaurentPoly, window: 
 def _shifted_series(R, f: LaurentPoly, window: int) -> TS:
     """f(c + tau) - f(c) to O(tau^window), c the generator of `R`."""
     ts = laurent_at_shifted_point(R, f, R.gen(), window)
-    return ts.sub(TS.one_term(R, ts.coeff(0), 0, window))
+    ts.cs[0] = R.zero()
+    return ts
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +423,12 @@ def place_subordinate_series(curve: ParametricCurve, place: str, window: int, fo
     signed order v0 = -ram and leading coefficient lead at the place, and
     equals lead sigma^v0 exactly.  Everything is over the scalars.
     """
-    prof = exponent_profile(curve)
+    return _place_series(curve, exponent_profile(curve), place, window, force_base)
+
+
+def _place_series(curve: ParametricCurve, prof: ExponentProfile, place: str, window: int, force_base: str | None):
+    """`place_subordinate_series` for the curve's exponent profile `prof`,
+    which the window attempts of one place compute once."""
     if force_base is None:
         base_is_x, ram, _ = place_base_data(prof, place)
     else:
@@ -553,7 +549,7 @@ def analyze_place(curve: ParametricCurve, place: str) -> PlaceAnalysis:
     base_is_x, ram, kappa = place_base_data(prof, place)
 
     def attempt(window: int) -> ChainData:
-        ram_, _, sub_sigma = place_subordinate_series(curve, place, window)
+        ram_, _, sub_sigma = _place_series(curve, prof, place, window, None)
         return scan_chain(SCALARS, sub_sigma, ram_, 1 - kappa)
 
     chain = _with_window(attempt, largest_window(prof, place), f"place {place}")
@@ -752,8 +748,8 @@ def tangency_delta(curve: ParametricCurve, delta2max: int, pl_inf: PlaceAnalysis
     v_lat = gcd(p, r)
 
     def attempt(window: int):
-        ram_i, lead_i, yA = place_subordinate_series(curve, "inf", window)
-        ram_0, lead_0, yB = place_subordinate_series(curve, "0", window)
+        ram_i, lead_i, yA = _place_series(curve, prof, "inf", window, None)
+        ram_0, lead_0, yB = _place_series(curve, prof, "0", window, None)
 
         def fn(st: BranchState):
             Ri, yA2 = _rooted_series(st, SCALARS, "ri", lead_i, -ram_i, yA)

@@ -36,8 +36,9 @@ the generic code.
 
 Every ring also carries the truncated-series kernels of :mod:`annuli.series`
 on coefficient lists: `convolve`, `unit_power` (Miller's recurrence),
-`reversion` (Lagrange inversion) and `compose`.  :class:`ScalarField` runs
-them on integers, Z[sqrt d] pairs over one common denominator per input
+`reversion` (Lagrange inversion), `compose` and `taylor_shift` (a Laurent
+polynomial at c + tau, by Horner's rule in c + tau).  :class:`ScalarField`
+runs them on integers, Z[sqrt d] pairs over one common denominator per input
 (`_zz_*` helpers), with one rational per output coefficient;
 :class:`Quotient` runs them element by element; :class:`LinearQuotient`
 delegates to its base.
@@ -46,7 +47,7 @@ delegates to its base.
 from __future__ import annotations
 
 from itertools import chain
-from math import gcd, isqrt, lcm, perm
+from math import comb, gcd, isqrt, lcm, perm
 from operator import mul
 from typing import Callable
 
@@ -265,6 +266,56 @@ class ScalarField:
                 out_a[e + s - lo] += a * za[s] + d * b * zb[s]
                 out_b[e + s - lo] += a * zb[s] + b * za[s]
         return _zz_scalars((out_a, out_b), cden * den, d)
+
+    def taylor_shift(self, f: list, pole: int, c, n: int) -> list:
+        """The first n coefficients of g(c + tau) for g = t^(-pole) f, f a
+        coefficient list, and c a unit when pole > 0.
+
+        It runs on integers.  Write c = C / q with C in Z[sqrt d], and
+        1 / C = G / M for an integer M: G = 1 and M = C when C is rational,
+        else G is the conjugate of C and M its norm.  With f = F / D cleared
+        once and e = len(f) - 1, Horner's rule in C + q tau gives
+        f(c + tau) = P(tau) / (D q^e) for P = sum_k F_k q^(e-k) (C + q tau)^k,
+        and (c + tau)^(-pole) = W(tau) / M^(pole + n - 1) to n terms, for
+        W_k = binom(-pole, k) q^(pole + k) G^(pole + k) M^(n - 1 - k).  That
+        is one product P W, and each output coefficient is one rational.
+        """
+        if n <= 0:
+            return []
+        d = _field_tag(chain(f, [c]))
+        (fa, fb), den = _cleared(f, d)
+        (ca, cb), q = _cleared([c], d)
+        ca, cb = ca[0], cb[0] if cb else 0
+        a, b = [], None if fb is None else []
+        qk = 1  # q^(e-k)
+        for k in range(len(f) - 1, -1, -1):
+            # (a, b) <- (a, b) (C + q tau) + F_k q^(e-k), cut to n terms
+            if b is None:
+                a = [x * ca + q * y for x, y in zip(a + [0], [0] + a)][:n]
+            else:
+                a, b = (
+                    [x * ca + d * u * cb + q * y for x, u, y in zip(a + [0], b + [0], [0] + a)][:n],
+                    [x * cb + u * ca + q * v for x, u, v in zip(a + [0], b + [0], [0] + b)][:n],
+                )
+                b[0] += fb[k] * qk
+            a[0] += fa[k] * qk
+            qk *= q
+        pad = [0] * (n - len(a))
+        P, den = (a + pad, None if b is None else b + pad), den * q ** max(len(f) - 1, 0)
+        if pole:
+            if not (ca or cb):
+                raise DivisionByZero("inverse of zero")
+            (ga, gb), m = ((ca, -cb), ca * ca - d * cb * cb) if cb else ((1, 0), ca)
+            wa, wb, xa, xb, s = [], [], 1, 0, 1  # (xa, xb) = G^(pole + k), s = q^(pole + k)
+            for k in range(-pole, n):
+                if k >= 0:
+                    w = (-1) ** k * comb(pole + k - 1, k) * s * m ** (n - 1 - k)
+                    wa.append(w * xa)
+                    wb.append(w * xb)
+                xa, xb, s = xa * ga + d * xb * gb, xa * gb + xb * ga, s * q
+            P = _zz_mul(P, (wa, None if P[1] is None else wb), n, d)
+            den *= m ** (pole + n - 1)
+        return _zz_scalars(P, den, d)
 
 
 def _field_tag(xs) -> int:
@@ -877,6 +928,35 @@ class Quotient:
                 out[e + s - lo] = self.add(out[e + s - lo], self.mul(c, pw[s]))
         return out
 
+    def taylor_shift(self, f: list, pole: int, c, n: int) -> list:
+        """The first n coefficients of g(c + tau) for g = t^(-pole) f, f a
+        coefficient list, and c a unit when pole > 0.
+
+        Horner's rule in c + tau element by element gives f(c + tau), and
+        Miller's recurrence (:meth:`unit_power`) the factor (c + tau)^(-pole)
+        = c^(-pole) (1 + tau / c)^(-pole); only c is inverted.
+        """
+        if n <= 0:
+            return []
+        acc = [self.zero()] * n
+        for fk in reversed(f):
+            new = [self.zero()] * n
+            for i, a in enumerate(acc):
+                if self.is_zero(a):
+                    continue
+                new[i] = self.add(new[i], self.mul(a, c))
+                if i + 1 < n:
+                    new[i + 1] = self.add(new[i + 1], a)
+            if not self.is_zero(fk):
+                new[0] = self.add(new[0], fk)
+            acc = new
+        if not pole:
+            return acc
+        ci = self.inv(c)
+        cp = ring_pow(self, ci, pole)
+        w = self.unit_power(([self.one(), ci] + [self.zero()] * (n - 2))[:n], -pole)
+        return self.convolve(acc, [self.mul(cp, x) for x in w], n)
+
     def is_zero(self, x) -> bool:
         """Structural zero test (exact for reduced elements; never splits)."""
         b = self.base
@@ -979,7 +1059,7 @@ class LinearQuotient:
     _BASE_OPS = (
         "zero", "one", "from_scalar", "add", "neg", "sub", "mul", "inv",
         "is_zero", "decide_zero", "eq", "as_scalar", "to_repr", "convolve",
-        "unit_power", "reversion", "compose", "scale",
+        "unit_power", "reversion", "compose", "taylor_shift", "scale",
     )
 
     def __init__(self, base, root, key: str):

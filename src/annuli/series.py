@@ -9,10 +9,12 @@ The costly operations are methods of the coefficient ring, called on
 coefficient lists: the product (`convolve`, from :meth:`TS.mul`), the power
 of a unit series 1 + h (`unit_power`, Miller's recurrence, from
 :meth:`TS.unit_power`; the series inverse is its exponent -1), Lagrange
-reversion (`reversion`, from :meth:`TS.reversion`) and the composition
-f(inner) (`compose`, from ``local._compose_laurent_series``).  Over Q and
-Q(sqrt d) (:class:`rings.ScalarField`, and a :class:`rings.LinearQuotient`
-over it, which delegates) they run on integers: each input list is cleared
+reversion (`reversion`, from :meth:`TS.reversion`), the composition
+f(inner) (`compose`, from ``local._compose_laurent_series``) and the Taylor
+shift f(c + tau) of a Laurent polynomial f (`taylor_shift`, from
+:func:`laurent_at_shifted_point`).  Over Q and Q(sqrt d)
+(:class:`rings.ScalarField`, and a :class:`rings.LinearQuotient` over it,
+which delegates) they run on integers: each input list is cleared
 once to integers, pairs over Z[sqrt d], over one common denominator, and
 each output coefficient is one rational.  A :class:`rings.Quotient` runs
 them element by element on its own arithmetic.
@@ -21,8 +23,8 @@ them element by element on its own arithmetic.
 from __future__ import annotations
 
 from ._ratio import QQ
-from .laurent import LaurentPoly
-from .rings import ring_pow, series_inverse
+from .laurent import LaurentPoly, to_dense
+from .rings import series_inverse
 
 
 class TruncationCap(ArithmeticError):
@@ -46,13 +48,6 @@ class TS:
     @staticmethod
     def zero(ring, prec: int) -> "TS":
         return TS(ring, prec, [])
-
-    @staticmethod
-    def one_term(ring, c, e: int, prec: int) -> "TS":
-        if prec <= e:
-            return TS(ring, prec, [])
-        cs = [c] + [ring.zero()] * (prec - e - 1)
-        return TS(ring, e, cs)
 
     def lift(self, ring) -> "TS":
         """The same series over `ring`, an extension of this series' ring."""
@@ -94,25 +89,6 @@ class TS:
 
     # -- ring operations ----------------------------------------------------------
 
-    def add(self, other: "TS") -> "TS":
-        r = self.ring
-        prec = min(self.prec, other.prec)
-        val = min(self.val, other.val, prec)
-        cs = [r.zero()] * (prec - val)
-        for src in (self, other):
-            for i, c in enumerate(src.cs):
-                e = src.val + i
-                if e < prec:
-                    cs[e - val] = r.add(cs[e - val], c)
-        return TS(r, val, cs)
-
-    def neg(self) -> "TS":
-        r = self.ring
-        return TS(r, self.val, [r.neg(c) for c in self.cs])
-
-    def sub(self, other: "TS") -> "TS":
-        return self.add(other.neg())
-
     def mul(self, other: "TS") -> "TS":
         r = self.ring
         prec = min(self.prec + other.val, other.prec + self.val)
@@ -121,10 +97,6 @@ class TS:
         val = self.val + other.val
         return TS(r, val, r.convolve(self.cs, other.cs, prec - val))
 
-    def scale(self, c) -> "TS":
-        r = self.ring
-        return TS(r, self.val, [r.mul(c, x) for x in self.cs])
-
     def inv(self) -> "TS":
         """Inverse of a unit-leading series (splits if leading is a zero divisor),
         from the ring's unit power (`rings.series_inverse`)."""
@@ -132,25 +104,6 @@ class TS:
         if not f.cs:
             raise ZeroDivisionError("inverse of zero series")
         return TS(self.ring, -f.val, series_inverse(self.ring, f.cs))
-
-    def pow_int(self, k: int) -> "TS":
-        """self^k by square and multiply (a negative k inverts first): the
-        independent reference that `unit_power` is tested against."""
-        if k < 0:
-            return self.inv().pow_int(-k)
-        r = self.ring
-        if k == 0:
-            width = len(self.cs) or 1
-            return TS(r, 0, [r.one()] + [r.zero()] * (width - 1))
-        out = None
-        sq = self
-        while True:
-            if k & 1:
-                out = sq if out is None else out.mul(sq)
-            k >>= 1
-            if not k:
-                return out
-            sq = sq.mul(sq)
 
     def unit_power(self, alpha) -> "TS":
         """(1 + h)^alpha for self = c (1 + h) of val 0, c a unit, and a rational alpha.
@@ -188,35 +141,8 @@ class TS:
 
 
 def laurent_at_shifted_point(ring, f: LaurentPoly, center, window: int) -> TS:
-    """Series of f(c + tau) in tau, where c is a unit of `ring`, to O(tau^window).
-
-    Uses exact Taylor shift for the numerator and Miller's recurrence
-    (`TS.unit_power`) for the t^-a denominator part.
-    """
+    """Series of f(c + tau) in tau, where c is a unit of `ring`, to O(tau^window):
+    the ring's `taylor_shift` of f = t^(-a) N, a the order of the pole at t = 0."""
     pole = max(0, -f.bot()) if not f.is_zero() else 0
-    num = f.shift(pole)
-    # numerator Taylor shift: N(c + tau) = sum N^(k)(c)/k! tau^k
-    deg = num.top() if not num.is_zero() else 0
-    width = window
-    # Horner in (c + tau): iterate coefficients high -> low
-    acc = [ring.zero()] * width  # acc(tau) polynomial, low->high
-    for e in range(deg, -1, -1):
-        # acc = acc * (c + tau) + num[e]
-        new = [ring.zero()] * width
-        for i, a in enumerate(acc):
-            if ring.is_zero(a):
-                continue
-            new[i] = ring.add(new[i], ring.mul(a, center))
-            if i + 1 < width:
-                new[i + 1] = ring.add(new[i + 1], a)
-        ce = num[e]
-        if not ce.is_zero():
-            new[0] = ring.add(new[0], ring.from_scalar(ce))
-        acc = new
-    numer = TS(ring, 0, acc)
-    if pole == 0:
-        return numer
-    # (c + tau)^(-pole) = c^(-pole) (1 + tau/c)^(-pole); only c is inverted
-    ci = ring.inv(center)
-    unit = TS(ring, 0, [ring.one(), ci] + [ring.zero()] * (width - 2))
-    return numer.mul(unit.unit_power(-pole).scale(ring_pow(ring, ci, pole)))
+    num = [ring.from_scalar(c) for c in to_dense(f.shift(pole))]
+    return TS(ring, 0, ring.taylor_shift(num, pole, center, window))

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from annuli._ratio import QQ
 from annuli import io
 from annuli.bipoly import double_point_system, poly_eval_ring, uv_deg, uv_eval_diag, uv_eval_ring, uv_prs
-from annuli.catalog import gen_series, series_id
+from annuli.catalog import default_grid, gen_series, series_id
 from annuli import certify, rings
 from annuli.certify import (
     BoundTooSmall,
@@ -29,7 +29,7 @@ from annuli.certify import (
 )
 from annuli.curves import ParametricCurve, apply_automorphism, classify_type, exponent_profile
 from annuli.laurent import ConstantComponent, LaurentPoly, from_dense, poly_gcd, resultant, squarefree_part, to_dense
-from annuli.local import milnor_from_pairs, scan_chain, singular_parameters
+from annuli.local import branch_series_at_point, milnor_from_pairs, scan_chain, singular_parameters
 from annuli.reports import analyze_curve
 from annuli.rings import (
     SCALARS,
@@ -44,6 +44,7 @@ from annuli.rings import (
 )
 from annuli.scalars import Scalar
 from annuli.series import TS
+from test_series import ts_scale, ts_sub
 
 t = LaurentPoly.t
 
@@ -770,3 +771,176 @@ def test_ledger_balance_is_reported_for_negative_fixture():
     v = embedding_verdict(fixture_wide_quartic())
     assert v.kind == "NotEmbedding"
     assert v.certificate is not None and v.certificate.witnesses
+
+
+# ---------------------------------------------------------------------------
+# the fraction-free semigroup oracle against the closure it replaced
+# ---------------------------------------------------------------------------
+
+
+def _reference_oracle(ring, xs, ys, bound):
+    """The semigroup closure with the quotient reduction el - (el_o / have_o) have,
+    element by element, as it ran before the closure became fraction-free."""
+    basis = {}
+    queue = [xs, ys]
+    guard = 0
+    while queue:
+        sref = queue.pop()
+        guard += 1
+        if guard > 4000:
+            raise BoundTooSmall("semigroup closure did not stabilize")
+        el = sref
+        while True:
+            el = el.normalized(decide=True)
+            if not el.cs:
+                break
+            o = el.val
+            if o >= bound:
+                break
+            have = basis.get(o)
+            if have is None:
+                basis[o] = el
+                queue.append(el.mul(xs).truncate(bound + 1))
+                queue.append(el.mul(ys).truncate(bound + 1))
+                break
+            c = ring.mul(el.coeff(o), ring.inv(have.coeff(o)))
+            el = ts_sub(el, ts_scale(have, c))
+    orders = sorted(basis)
+    if not orders:
+        raise BoundTooSmall("no finite orders below the bound")
+    n0 = orders[0]
+    reach = [False] * (bound + 1)
+    reach[0] = True
+    for i in range(1, bound + 1):
+        for o in orders:
+            if o <= i and reach[i - o]:
+                reach[i] = True
+                break
+    conductor = None
+    run = 0
+    for i in range(bound + 1):
+        run = run + 1 if reach[i] else 0
+        if run >= n0:
+            conductor = i - n0 + 1
+            break
+    if conductor is None:
+        raise BoundTooSmall(f"conductor not reached below {bound}")
+    return sum(1 for i in range(1, conductor) if not reach[i])
+
+
+def _both_oracles(ring, xs, ys, bound):
+    """The delta, or the BoundTooSmall text, of the oracle and of the reference."""
+    out = []
+    for oracle in (delta_semigroup_oracle, _reference_oracle):
+        try:
+            out.append(oracle(ring, xs, ys, bound))
+        except BoundTooSmall as exc:
+            out.append(f"BoundTooSmall: {exc}")
+    return out
+
+
+def test_oracle_matches_the_reference_at_every_finite_grid_point():
+    """At the grid's finite points (scale 1/4, and (w), whose conjugate point
+    t^2 + t + 1 runs over a Quotient), with the criterion 8 bound and with
+    bounds too small for the conductor."""
+    points = 0
+    for sid in default_grid()[::4] + [series_id("w")]:
+        c = gen_series(sid)
+        for e in ph_ledger(c).finite:
+            for bound in (e.mu + e.n + 4, e.n + 1, e.mu // 2 + 1):
+                for _, ring, xs, ys in branch_series_at_point(c, e.factor, bound + 2):
+                    new, ref = _both_oracles(ring, xs, ys, bound)
+                    assert new == ref, f"{sid} at {e.factor!r}, bound {bound}"
+                    if bound == e.mu + e.n + 4:
+                        assert 2 * new == e.mu
+            points += 1
+    assert points >= 10
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_oracle_matches_the_reference_on_random_series(data):
+    """Sparse series over Q and Q(sqrt d) of any orders, some shorter than the
+    bound, so that an element can vanish to its precision."""
+    d = data.draw(st.sampled_from([1, 2, 5, -3]))
+    bound = data.draw(st.integers(2, 30))
+
+    def series():
+        length = data.draw(st.integers(1, bound + 3))
+        order = data.draw(st.integers(1, 6))
+        cs = [Scalar(0)] * length
+        for e in range(order, length):
+            if e == order or data.draw(st.integers(0, 3)) == 0:
+                a = QQ(data.draw(st.sampled_from([1, -1, 2, 3, -5])), data.draw(st.integers(1, 6)))
+                b = QQ(data.draw(st.integers(-2, 2)), data.draw(st.integers(1, 3))) if d != 1 else 0
+                cs[e] = Scalar(a, b, d)
+        return TS(SCALARS, 0, cs)
+
+    xs, ys = series(), series()
+    new, ref = _both_oracles(SCALARS, xs, ys, bound)
+    assert new == ref
+
+
+@pytest.mark.parametrize("planted", ["leading coefficient", "after a reduction"])
+def test_oracle_splits_as_the_reference_on_a_planted_zero_divisor(planted):
+    """Over Q[s]/((s^2 - 2)(s^2 + 1)) the coefficient s^2 - 2 is a zero
+    divisor: the oracle splits the modulus where the reference does, and each
+    branch gets the reference's delta."""
+    m = [Scalar(-2), Scalar(0), Scalar(-1), Scalar(0), Scalar(1)]
+
+    def run(oracle):
+        def fn(st_):
+            R = st_.quotient(SCALARS, "pt", m)
+            s, one, zero = R.gen(), R.one(), R.zero()
+            zd = R.sub(R.mul(s, s), R.from_scalar(Scalar(2)))
+            pad = [zero] * 20
+            if planted == "leading coefficient":  # x = (s^2 - 2) tau^2 + tau^3, y = tau^4 + s tau^5
+                xs = TS(R, 0, [zero, zero, zd, one] + pad)
+                ys = TS(R, 0, [zero, zero, zero, zero, one, s] + pad)
+            else:  # s y - (s + 1) x = s (s^2 - 2) tau^3 + s tau^5
+                xs = TS(R, 0, [zero, zero, s, zero] + pad)
+                ys = TS(R, 0, [zero, zero, R.add(s, one), zd, zero, one] + pad)
+            return repr(from_dense(st_.modulus("pt", m))), oracle(R, xs, ys, 20)
+
+        return explore_branches(fn)
+
+    got = run(delta_semigroup_oracle)
+    assert got == run(_reference_oracle)
+    assert len(got) == 2
+
+
+def test_the_oracle_inverts_nothing_and_builds_no_rational_over_the_scalars(monkeypatch):
+    """One grid pass at scale 1/8: no ring or Scalar inverse runs inside the
+    oracle, and over Q no Scalar is built there; series differences left the
+    package with the quotient reduction."""
+    inside, seen = [], []
+    real = certify.delta_semigroup_oracle
+
+    def oracle(ring, xs, ys, bound):
+        inside.append(certify._over_scalars(ring))
+        try:
+            return real(ring, xs, ys, bound)
+        finally:
+            inside.pop()
+
+    def spy(name, fn, scalars_only):
+        def wrapper(*args, **kwargs):
+            if inside and (inside[-1] or not scalars_only):
+                seen.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(certify, "delta_semigroup_oracle", oracle)
+    for owner, name in ((rings.ScalarField, "inv"), (Quotient, "inv"), (Scalar, "inv")):
+        monkeypatch.setattr(owner, name, spy(f"{owner.__name__}.inv", getattr(owner, name), False))
+    monkeypatch.setattr(Scalar, "__init__", spy("Scalar", Scalar.__init__, True))
+    monkeypatch.setattr(rings, "rational_scalar", spy("rational_scalar", rings.rational_scalar, True))
+    points = 0
+    for sid in default_grid()[::8]:
+        c = gen_series(sid)
+        for e in ph_ledger(c).finite:
+            assert all(2 * dl == e.mu for _, dl in oracle_delta_at_factor(c, e.factor, bound=e.mu + e.n + 4))
+            points += 1
+    assert points and not seen
+    assert not hasattr(TS, "sub")

@@ -27,6 +27,7 @@ from annuli.rings import (
 )
 from annuli.scalars import DivisionByZero, FieldMismatch, Scalar
 from annuli.series import TS, laurent_at_shifted_point
+from test_series import ts_scale, ts_sub
 
 
 def ring_mod(*coeffs):
@@ -199,9 +200,9 @@ def test_series_kernels_at_a_rational_point_match_the_reference():
 
     def kernels(ring):
         xs = laurent_at_shifted_point(ring, f, ring.gen(), window)
-        unit = xs.sub(TS(ring, 0, [xs.coeff(0)] + [ring.zero()] * (window - 1)))
+        unit = ts_sub(xs, TS(ring, 0, [xs.coeff(0)] + [ring.zero()] * (window - 1)))
         unit = unit.normalized().shift(-1)
-        unit = unit.scale(ring.inv(unit.coeff(0)))
+        unit = ts_scale(unit, ring.inv(unit.coeff(0)))
         w = unit.unit_power(QQ(1, 3))
         rev = w.inv().reversion()  # the reversion of tau w(tau), from its Lagrange series 1 / w
         return [[ring.to_repr(c) for c in ts.cs] for ts in (xs, w, rev)]

@@ -11,6 +11,67 @@ from annuli.scalars import Scalar
 from annuli.series import TS, laurent_at_shifted_point
 
 
+# ---------------------------------------------------------------------------
+# series sums, negation, scaling, one-term series and integer powers: no
+# package code calls them any more, so they live here, as the references the
+# kernels are tested against
+# ---------------------------------------------------------------------------
+
+
+def one_term(ring, c, e: int, prec: int) -> TS:
+    """c sigma^e to O(sigma^prec)."""
+    if prec <= e:
+        return TS(ring, prec, [])
+    return TS(ring, e, [c] + [ring.zero()] * (prec - e - 1))
+
+
+def ts_add(f: TS, g: TS) -> TS:
+    """f + g to the lesser of their precisions, element by element."""
+    r = f.ring
+    prec = min(f.prec, g.prec)
+    val = min(f.val, g.val, prec)
+    cs = [r.zero()] * (prec - val)
+    for src in (f, g):
+        for i, c in enumerate(src.cs):
+            e = src.val + i
+            if e < prec:
+                cs[e - val] = r.add(cs[e - val], c)
+    return TS(r, val, cs)
+
+
+def ts_neg(f: TS) -> TS:
+    return TS(f.ring, f.val, [f.ring.neg(c) for c in f.cs])
+
+
+def ts_sub(f: TS, g: TS) -> TS:
+    return ts_add(f, ts_neg(g))
+
+
+def ts_scale(f: TS, c) -> TS:
+    """c f, element by element."""
+    return TS(f.ring, f.val, [f.ring.mul(c, x) for x in f.cs])
+
+
+def pow_int(f: TS, k: int) -> TS:
+    """f^k by square and multiply (a negative k inverts first): the
+    independent reference that `unit_power` is tested against."""
+    if k < 0:
+        return pow_int(f.inv(), -k)
+    r = f.ring
+    if k == 0:
+        width = len(f.cs) or 1
+        return TS(r, 0, [r.one()] + [r.zero()] * (width - 1))
+    out = None
+    sq = f
+    while True:
+        if k & 1:
+            out = sq if out is None else out.mul(sq)
+        k >>= 1
+        if not k:
+            return out
+        sq = sq.mul(sq)
+
+
 def ts(*coeffs):
     return TS(SCALARS, 0, [Scalar.of(c) for c in coeffs])
 
@@ -51,7 +112,7 @@ def test_nth_root_monic_inverse_pair_over_a_quotient_ring():
         assert one.prec == f.prec
         assert R.eq(one.coeff(0), R.one())
         assert all(R.is_zero(one.coeff(e)) for e in range(1, f.prec))
-        back = f.unit_power(QQ(1, k)).pow_int(k)
+        back = pow_int(f.unit_power(QQ(1, k)), k)
         assert all(R.eq(back.coeff(e), f.coeff(e)) for e in range(f.prec))
 
 
@@ -94,9 +155,9 @@ def _horner_compose(f, inner, window):
     acc = TS(r, 0, [fn.coeff(top)] + [r.zero()] * (window - 1))
     for e in range(top - 1, fn.val - 1, -1):
         acc = acc.mul(inner).truncate(window)
-        acc = acc.add(TS(r, 0, [fn.coeff(e)] + [r.zero()] * (window - 1)))
+        acc = ts_add(acc, TS(r, 0, [fn.coeff(e)] + [r.zero()] * (window - 1)))
     if fn.val > 0:
-        acc = acc.mul(inner.pow_int(fn.val)).truncate(window)
+        acc = acc.mul(pow_int(inner, fn.val)).truncate(window)
     return acc
 
 
@@ -160,7 +221,7 @@ def test_shifted_series_over_a_quotient_ring_match_the_series_inverse():
         window = rnd.randint(2, 12)
         numer = laurent_at_shifted_point(R, f.shift(pole), c, window)
         base = TS(R, 0, [c, R.one()] + [R.zero()] * max(0, window - 2))
-        want = numer.mul(base.inv().truncate(window).pow_int(pole)).truncate(window)
+        want = numer.mul(pow_int(base.inv().truncate(window), pole)).truncate(window)
         assert laurent_at_shifted_point(R, f, c, window).to_repr() == want.to_repr()
 
 
@@ -209,10 +270,10 @@ def test_unit_power_identities(kind):
         assert R.eq(one.cs[0], R.one()) and all(R.is_zero(c) for c in one.cs[1:])
         u = TS(R, 0, [R.one()] + [elt() for _ in range(length - 1)])  # 1 + h
         for n in (2, 3, -2):
-            assert _same(R, u.unit_power(QQ(1, n)).pow_int(n), u)
-        assert _same(R, u.unit_power(QQ(2, 3)).pow_int(3), u.pow_int(2))
+            assert _same(R, pow_int(u.unit_power(QQ(1, n)), n), u)
+        assert _same(R, pow_int(u.unit_power(QQ(2, 3)), 3), pow_int(u, 2))
         for k in (1, 2, 3):
-            assert _same(R, u.unit_power(-k), u.unit_power(-1).pow_int(k))
+            assert _same(R, u.unit_power(-k), pow_int(u.unit_power(-1), k))
 
 
 @pytest.mark.parametrize("kind", RING_KINDS)
@@ -261,7 +322,7 @@ def ref_inv(f):
     r = f.ring
     a0i = r.inv(f.cs[0])
     unit = TS(r, 0, [r.one()] + [r.mul(a0i, c) for c in f.cs[1:]])
-    return ref_unit_power(unit, -1).shift(-f.val).scale(a0i)
+    return ts_scale(ref_unit_power(unit, -1).shift(-f.val), a0i)
 
 
 def ref_reversion(f):
@@ -289,7 +350,7 @@ def ref_compose(f, ring, inner, window):
     else:
         terms = [(e, ring.from_scalar(f.coeffs[e])) for e in f.support()]
         cut = None
-    powers = {0: TS.one_term(ring, ring.one(), 0, window)}
+    powers = {0: one_term(ring, ring.one(), 0, window)}
     inv = None
     out = None
     for e, c in terms:
@@ -305,8 +366,8 @@ def ref_compose(f, ring, inner, window):
             if k % 2:
                 ts = ts.mul(inner if k > 0 else inv)
             powers[k] = ts.truncate(ts.val + window)
-        term = powers[e].scale(c)
-        out = term if out is None else out.add(term)
+        term = ts_scale(powers[e], c)
+        out = term if out is None else ts_add(out, term)
     if out is None:
         return TS.zero(ring, window if cut is None else cut)
     return out if cut is None else out.truncate(cut)
@@ -361,7 +422,7 @@ def test_unit_power_kernel_matches_the_elementwise_loop(data):
     else:  # c (1 + h) for a unit c: the power of 1 + h
         u = TS(ring, 0, data.draw(coefficients(ring, d, length, unit_lead=True)))
     alpha = data.draw(st.sampled_from(ALPHAS))
-    assert _identical(u.unit_power(alpha), ref_unit_power(u.scale(ring.inv(u.cs[0])), alpha))
+    assert _identical(u.unit_power(alpha), ref_unit_power(ts_scale(u, ring.inv(u.cs[0])), alpha))
 
 
 @given(st.data())
@@ -391,3 +452,62 @@ def test_compose_kernel_matches_the_reference(data):
         val = data.draw(st.integers(-4, 4))
         f = TS(ring, val, data.draw(coefficients(ring, d, data.draw(st.integers(0, min(top, 20))))))
     assert _identical(_compose_laurent_series(f, ring, inner, window), ref_compose(f, ring, inner, window))
+
+
+def ref_laurent_at_shifted_point(ring, f, center, window):
+    """f(c + tau) to O(tau^window), as it ran before the rings had a
+    `taylor_shift`: Horner's rule in c + tau element by element on t^a f,
+    times (c + tau)^(-a) = c^(-a) (1 + tau / c)^(-a) from `ref_unit_power`."""
+    pole = max(0, -f.bot()) if not f.is_zero() else 0
+    num = f.shift(pole)
+    deg = num.top() if not num.is_zero() else 0
+    acc = [ring.zero()] * window
+    for e in range(deg, -1, -1):
+        new = [ring.zero()] * window
+        for i, a in enumerate(acc):
+            if ring.is_zero(a):
+                continue
+            new[i] = ring.add(new[i], ring.mul(a, center))
+            if i + 1 < window:
+                new[i + 1] = ring.add(new[i + 1], a)
+        if not num[e].is_zero():
+            new[0] = ring.add(new[0], ring.from_scalar(num[e]))
+        acc = new
+    numer = TS(ring, 0, acc)
+    if pole == 0:
+        return numer
+    ci = ring.inv(center)
+    unit = TS(ring, 0, [ring.one(), ci] + [ring.zero()] * (window - 2))
+    return numer.mul(ts_scale(ref_unit_power(unit, -pole), ring_pow(ring, ci, pole)))
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_taylor_shift_kernel_matches_the_elementwise_horner_loop(data):
+    """At centers with denominators, with poles, with degrees above the window
+    and for the zero polynomial, every ring's `taylor_shift` gives the
+    element-wise loop's coefficients."""
+    ring, d, top = data.draw(kernel_rings())
+    window = data.draw(st.integers(1, 64 if top > 8 else 10))
+    pole = data.draw(st.integers(0, 5))
+    size = data.draw(st.integers(0, window + 8))  # 0: the zero polynomial
+    cs = data.draw(coefficients(SCALARS, d, size))
+    f = LaurentPoly({e - pole: c for e, c in enumerate(cs) if not c.is_zero()})
+    if ring is _QUOTIENT:
+        center = data.draw(coefficients(ring, d, 1, unit_lead=True))[0]
+    else:
+        num = data.draw(st.sampled_from([1, -1, 2, -3, 5, 7]))
+        surd = QQ(data.draw(st.integers(-3, 3)), data.draw(st.integers(1, 5))) if d != 1 else 0
+        center = Scalar(QQ(num, data.draw(st.integers(1, 9))), surd, d)
+    got = laurent_at_shifted_point(ring, f, center, window)
+    assert _identical(got, ref_laurent_at_shifted_point(ring, f, center, window))
+
+
+def test_taylor_shift_kernel_at_the_rings_own_points():
+    """At the generator of a linear point and of s^2 + s + 1, the kernels
+    equal the element-wise loop on the grid's kind of input."""
+    f = LaurentPoly({-3: Scalar(2), -1: Scalar(-1), 0: Scalar("1/3"), 4: Scalar(5), 9: Scalar("-7/2")})
+    for ring in (LinearQuotient(SCALARS, Scalar(QQ(-5, 4)), "pt"), _QUOTIENT):
+        for window in (1, 2, 7, 30):
+            want = ref_laurent_at_shifted_point(ring, f, ring.gen(), window)
+            assert _identical(laurent_at_shifted_point(ring, f, ring.gen(), window), want)
