@@ -168,14 +168,26 @@ WORKLOAD = textwrap.dedent(
     # series, with the bound of acceptance criterion 8
     from annuli.certify import delta_semigroup_oracle
     from annuli.local import branch_series_at_point
+    from annuli.rings import explore_branches
 
     oracle_inputs = []
     for sid in default_grid():
         c = gen_series(sid)
         for e in ph_ledger(c).finite:
             bound = e.mu + e.n + 4
-            oracle_inputs += [(r, xs, ys, bound) for _, r, xs, ys in branch_series_at_point(c, e.factor, bound + 2)]
+            branches = explore_branches(lambda st: branch_series_at_point(st, c, e.factor, bound + 2))
+            oracle_inputs += [(r, xs, ys, bound) for _, r, xs, ys in branches]
     out["semigroup_oracle_grid"] = best(lambda: [delta_semigroup_oracle(*a) for a in oracle_inputs])
+
+    # the handsome reduction of every seed-1 `refute` curve, and the witness
+    # point of every witness their certificates find
+    from annuli.certify import _witness_point
+    from annuli.curves import classify_type
+
+    refute = [io.parse_curve_file(text) for _, text in make_inputs("refute", 1)]
+    out["classify_refute"] = best(lambda: [classify_type(c) for c in refute])
+    witnesses = [(c, w) for c in refute for w in injectivity_certificate(c).witnesses if w.u_poly]
+    out["witness_point_refute"] = best(lambda: [_witness_point(c, w) for c, w in witnesses])
 
     print(json.dumps(out))
     """

@@ -5,7 +5,10 @@ D(t, t') = num(phi(t) - phi(t')) / (t - t') and the analogous E, symmetric
 polynomials written in u = t + t', v = t t'.  Each is built term by term in
 closed form: (t^k - t'^k) / (t - t') is the complete homogeneous polynomial
 h_{k-1} = sum_j (-1)^j C(k-1-j, j) u^(k-1-2j) v^j (Macdonald, Symmetric
-Functions and Hall Polynomials, ch. I), so nothing is divided.  This module
+Functions and Hall Polynomials, ch. I), so nothing is divided.  The witness
+point's (f(t) + f(t'))/2 is built the same way from Waring's formula for the
+power sums, p_k = t^k + t'^k = sum_j (-1)^j k/(k-j) C(k-j, j) u^(k-2j) v^j
+(ibid.), and evaluated at a witness by :func:`uv_eval_u`.  This module
 also holds the subresultant PRS in u over Q(sqrt d)[v] (:func:`uv_prs`), which
 runs on Python integers: one common denominator is cleared per input, and a
 coefficient in Z[sqrt d][v] is a pair of integer lists, computed with the
@@ -21,8 +24,8 @@ from __future__ import annotations
 from itertools import chain
 from math import comb
 
-from .laurent import LaurentPoly, poly_gcd, to_dense
-from .rings import _cleared, _pdivexact, _pmul, _ppow, _zz_prem, _zz_scalars, int_trim
+from .laurent import LaurentPoly, from_dense, poly_gcd, to_dense
+from .rings import _cleared, _field_tag, _pdivexact, _pmul, _ppow, _zz_prem, _zz_scalars, int_trim
 from .scalars import Scalar, ZERO
 
 UV = dict  # {int: LaurentPoly in v}
@@ -57,6 +60,37 @@ def _difference_quotient(f: LaurentPoly) -> UV:
 def double_point_system(phi: LaurentPoly, psi: LaurentPoly) -> tuple[UV, UV]:
     """The symmetric double-point pair (D~, E~) in (u, v)."""
     return _difference_quotient(phi), _difference_quotient(psi)
+
+
+def symmetric_mean(f: LaurentPoly) -> tuple[UV, int]:
+    """(S, a) with S = v^a (f(t) + f(t')) / 2 in u = t + t', v = t t', and
+    a = max(0, -bot f).
+
+    With f = sum c_e t^e, v^a (t^e + t'^e) is v^a p_e for e >= 0 and
+    v^(a+e) p_(-e) for e < 0, where p_0 = 2 and, by Waring's formula,
+    p_k = sum_j (-1)^j k/(k-j) C(k-j, j) u^(k-2j) v^j for k > 0; each weight
+    k/(k-j) C(k-j, j) is an integer.  The sums run on the Z[sqrt d]
+    numerators of f over its common denominator, and each coefficient of S
+    is converted once.
+    """
+    if f.is_zero():
+        return {}, 0
+    a = max(0, -f.bot())
+    es = list(f.coeffs)
+    d = _field_tag(f.coeffs.values())
+    (A, B), den = _cleared([f.coeffs[e] for e in es], d)
+    width = a + max(f.top(), -f.bot()) // 2 + 1
+    rows: dict[int, tuple] = {}
+    for i, e in enumerate(es):
+        k, va = abs(e), a + min(e, 0)
+        terms = [(k - 2 * j, va + j, (-1) ** j * k * comb(k - j, j) // (k - j)) for j in range(k // 2 + 1)] if k else [(0, va, 2)]
+        for du, dv, w in terms:
+            ra, rb = rows.setdefault(du, ([0] * width, B and [0] * width))
+            ra[dv] += w * A[i]
+            if rb:
+                rb[dv] += w * B[i]
+    out = {du: from_dense(_zz_scalars(P, 2 * den, d)) for du, P in rows.items()}
+    return {du: p for du, p in out.items() if not p.is_zero()}, a
 
 
 # ---------------------------------------------------------------------------
@@ -155,39 +189,19 @@ def _uv_from_zz(f: list, d: int) -> UV:
     return out
 
 
-def uv_eval_diag(F: UV) -> LaurentPoly:
-    """Substitute u = 2z, v = z^2 (the diagonal t = t' = z)."""
-    out = LaurentPoly.zero()
-    for d, p in F.items():
-        # p(v) -> p(z^2), times (2z)^d
-        pz = LaurentPoly({2 * e: c for e, c in p.coeffs.items()})
-        out = out + pz.shift(d) * Scalar.of(2**d)
-    return out
+def uv_eval_u(F: UV, ring, u_val):
+    """F at u = u_val and v = the generator of the level "wv" K =
+    Q(sqrt d)[v]/(m), in `ring`: K itself, or a level "wu" over K, whose
+    generator u_val must then be.
 
-
-def poly_eval_ring(p: LaurentPoly, ring, x):
-    """p(x) for a plain polynomial p and a ring element x (Horner)."""
-    acc = ring.zero()
-    if p.is_zero():
-        return acc
-    for e in range(p.top(), -1, -1):
-        acc = ring.mul(acc, x)
-        c = p[e]
-        if not c.is_zero():
-            acc = ring.add(acc, ring.from_scalar(c))
-    return acc
-
-
-def uv_eval_ring(F: UV, ring, u_val, v_val):
-    """Evaluate a UV polynomial at ring elements (u_val, v_val), by Horner in u."""
-    return uv_eval_u(F, ring, u_val, lambda p: poly_eval_ring(p, ring, v_val))
-
-
-def uv_eval_u(F: UV, ring, u_val, v_value):
-    """F at u = u_val by Horner in u, where v_value(p) is the value in `ring`
-    of each v-coefficient p of F."""
-    out = ring.zero()
+    At a "wu" level the value is the class of the u-polynomial whose
+    coefficients are the values in K of F's v-coefficients: one `from_dense`
+    and no Horner loop.  In K it is Horner's rule in u, the ring's
+    :meth:`horner` kernel, which runs on integers over the scalars.
+    """
     zero = LaurentPoly.zero()
-    for d in range(uv_deg(F), -1, -1):
-        out = ring.add(ring.mul(out, u_val), v_value(F.get(d, zero)))
-    return out
+    rows = [to_dense(F.get(k, zero)) for k in range(uv_deg(F) + 1)]
+    if ring.key == "wu":
+        K = ring.base
+        return ring.from_dense([K.from_dense(r) for r in rows])
+    return ring.horner(rows, u_val)

@@ -21,6 +21,7 @@ from math import gcd
 from .bipoly import (
     UV,
     double_point_system,
+    symmetric_mean,
     uv_content,
     uv_deg,
     uv_eval_u,
@@ -407,50 +408,23 @@ def _witness_tower(st: BranchState, w: Witness) -> tuple:
     return ring, ring.gen(), ring.from_base(v)
 
 
-def _v_value(ring):
-    """The map p -> p(v) into `ring` for polynomials p in v, the generator of level "wv".
-
-    p(v) is the class of p's coefficient list in that level K (one
-    reduction modulo m, over Q on integers, or its value at the root of a
-    linear m), lifted into a "wu" level over K.
-    """
-    K = ring.base if ring.key == "wu" else ring
-    if ring is K:
-        return lambda p: K.from_dense(to_dense(p))
-    return lambda p: ring.from_base(K.from_dense(to_dense(p)))
-
-
 def _sym_eval(ring, u, fs) -> list:
     """(f(t) + f(t'))/2 for each f in `fs`, where t + t' = u and t t' = v,
     the generator of level "wv".
 
-    The power sums p_k = t^k + t'^k follow p_k = u p_(k-1) - v p_(k-2) and
-    are shared by every f; sum_k c_(-k) p_(-k) = sum_k c_(-k) p_k / v^k is
-    read by Horner in 1/v.  `ring` is K = Q[v]/(m) or a "wu" level over K;
-    it multiplies and divides by v (a unit: m(0) != 0) in O(deg m) steps per
-    element of K, so the only ring products are u p_(k-1).
+    v^a (f(t) + f(t'))/2 is a UV polynomial in closed form
+    (:func:`symmetric_mean`, Waring's formula); its value at u
+    (:func:`uv_eval_u`) is divided by v a times.  `ring` is K = Q[v]/(m) or
+    a "wu" level over K, whose generator u must then be; it divides by v (a
+    unit: m(0) != 0) in O(deg m) steps per element of K.
     """
-    top = max((max(f.top(), -f.bot()) for f in fs if not f.is_zero()), default=0)
-    pows = [ring.from_scalar(Scalar(2)), u]
-    for _ in range(2, top + 1):
-        pows.append(ring.sub(ring.mul(u, pows[-1]), ring.mul_gen(pows[-2], "wv")))
-    half = Scalar("1/2")
     out = []
     for f in fs:
-        acc = ring.zero()
-        if f.is_zero():
-            out.append(acc)
-            continue
-        for k in range(-min(f.bot(), 0), 0, -1):
-            c = f[-k]
-            if not c.is_zero():
-                acc = ring.add(acc, ring.scale(pows[k], c * half))
-            acc = ring.div_gen(acc, "wv")
-        for k in range(max(f.top(), 0) + 1):
-            c = f[k]
-            if not c.is_zero():
-                acc = ring.add(acc, ring.scale(pows[k], c * half))
-        out.append(acc)
+        S, a = symmetric_mean(f)
+        x = uv_eval_u(S, ring, u)
+        for _ in range(a):
+            x = ring.div_gen(x, "wv")
+        out.append(x)
     return out
 
 
@@ -468,9 +442,8 @@ def verify_witness(curve: ParametricCurve, w: Witness) -> bool:
 
     def fn(st: BranchState):
         ring, u_val, v_val = _witness_tower(st, w)
-        v_value = _v_value(ring)
-        okD = ring.decide_zero(uv_eval_u(D, ring, u_val, v_value))
-        okE = ring.decide_zero(uv_eval_u(E, ring, u_val, v_value))
+        okD = ring.decide_zero(uv_eval_u(D, ring, u_val))
+        okE = ring.decide_zero(uv_eval_u(E, ring, u_val))
         disc = ring.sub(ring.mul(u_val, u_val), ring.mul(ring.from_scalar(Scalar(4)), v_val))
         off_diag = not ring.decide_zero(disc)
         return okD and okE and off_diag
@@ -792,8 +765,14 @@ class _IntegerClosure:
 
 
 def oracle_delta_at_factor(curve: ParametricCurve, factor: LaurentPoly, bound: int = 60) -> list:
-    """(factor, delta) per refined branch of the factor, via the semigroup oracle."""
-    results = []
-    for fac, ring, xs, ys in branch_series_at_point(curve, factor, bound + 2):
-        results.append((fac, delta_semigroup_oracle(ring, xs, ys, bound)))
-    return results
+    """(factor, delta) per refined branch of the factor, via the semigroup oracle.
+
+    The expansion and the oracle run on each branch together, so a zero
+    divisor that either meets splits the factor, and both re-run on each part.
+    """
+
+    def fn(st: BranchState):
+        fac, ring, xs, ys = branch_series_at_point(st, curve, factor, bound + 2)
+        return fac, delta_semigroup_oracle(ring, xs, ys, bound)
+
+    return explore_branches(fn)

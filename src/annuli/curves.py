@@ -7,8 +7,10 @@ mean the component vanishes there.
 
 Classification applies Cremona moves (elementary transformations, swaps,
 translations) and t -> 1/t until the curve matches one of the four type rows
-in handsome position.  The search is a small BFS over degree-killing moves;
-each accepted normal form records its move log.
+in handsome position.  The search is a small BFS over degree-killing moves.
+It checks each curve as soon as it makes it and stops at the first handsome
+one, which is the first in BFS order; the accepted normal form records its
+move log.
 """
 
 from __future__ import annotations
@@ -139,15 +141,6 @@ def is_handsome_profile(pr: ExponentProfile, tag: str) -> bool:
     raise ValueError(tag)
 
 
-def is_handsome(curve: ParametricCurve) -> bool:
-    """True iff the curve, as positioned, matches a type row handsomely."""
-    pr = exponent_profile(curve)
-    for tag in ALL_TAGS:
-        if row_match(pr, tag):
-            return is_handsome_profile(pr, tag)
-    return False
-
-
 # ---------------------------------------------------------------------------
 # moves
 # ---------------------------------------------------------------------------
@@ -218,14 +211,27 @@ def _kill_moves(curve: ParametricCurve) -> list[dict]:
     return out
 
 
+# (name, the curve map, its moves, the map of its exponent profile): t -> 1/t
+# exchanges top and bottom, and the swap exchanges x and y
 _SYMS = (
-    ("id", lambda c: c, []),
-    ("inv_t", lambda c: c.inv_t(), [{"kind": "inv_t"}]),
-    ("swap", lambda c: c.swapped(), [{"kind": "swap_xy"}]),
+    ("id", lambda c: c, [], lambda pr: pr),
+    (
+        "inv_t",
+        lambda c: c.inv_t(),
+        [{"kind": "inv_t"}],
+        lambda pr: ExponentProfile(pr.r, pr.s, pr.p, pr.q, pr.tc_x, pr.tc_y, pr.lc_x, pr.lc_y),
+    ),
+    (
+        "swap",
+        lambda c: c.swapped(),
+        [{"kind": "swap_xy"}],
+        lambda pr: ExponentProfile(pr.q, pr.p, pr.s, pr.r, pr.lc_y, pr.lc_x, pr.tc_y, pr.tc_x),
+    ),
     (
         "swap_inv",
         lambda c: c.swapped().inv_t(),
         [{"kind": "swap_xy"}, {"kind": "inv_t"}],
+        lambda pr: ExponentProfile(pr.s, pr.r, pr.q, pr.p, pr.tc_y, pr.tc_x, pr.lc_y, pr.lc_x),
     ),
 )
 
@@ -257,15 +263,24 @@ def _moves_repr(moves: list) -> list:
     return out
 
 
-def _handsome_matches(curve: ParametricCurve):
-    res = []
-    for name, f, mv in _SYMS:
-        c2 = f(curve)
-        pr = exponent_profile(c2)
+def _handsome_match(curve: ParametricCurve, log: list) -> Classification | None:
+    """The classification of `curve` with move log `log`, when a symmetric
+    image of it matches a type row handsomely; None otherwise.
+
+    The exponent profile is computed once; each image's profile is a
+    permutation of it, and only the first match's curve is built.
+    """
+    pr0 = exponent_profile(curve)
+    matches = []
+    for name, f, mv, perm in _SYMS:
+        pr = perm(pr0)
         for tag in ALL_TAGS:
             if row_match(pr, tag) and is_handsome_profile(pr, tag):
-                res.append((name, tag, c2, mv, pr))
-    return res
+                matches.append((name, tag, f, mv, pr))
+    if not matches:
+        return None
+    _, tag, f, mv, pr = matches[0]
+    return Classification(tag, [(n, t) for n, t, *_ in matches], f(curve), log + mv, pr)
 
 
 def _reduction_cap(prof: ExponentProfile) -> int:
@@ -279,7 +294,9 @@ def reduce_to_handsome(curve: ParametricCurve) -> Classification:
 
     Each kill cancels the extreme term of one component against a power of the
     other, which is exactly the move set of the handsome-reduction argument;
-    BFS guarantees a shortest move log and deterministic output.
+    BFS guarantees a shortest move log and deterministic output.  Each new
+    curve is checked as soon as it is made, so the search returns the first
+    handsome curve in BFS order without expanding the rest of its level.
     """
     curve.check_admissible()
     pc = detect_nonprimitive(curve)
@@ -288,17 +305,15 @@ def reduce_to_handsome(curve: ParametricCurve) -> Classification:
     cap = _reduction_cap(exponent_profile(curve))
     log0: list = []
     start = _strip_constants(curve, log0)
+    found = _handsome_match(start, log0)
+    if found is not None:
+        return found
     frontier: list[tuple[ParametricCurve, list]] = [(start, log0)]
     seen = {start.key()}
     explored = depth = 0
     while frontier:
         nxt: list[tuple[ParametricCurve, list]] = []
         for cur, lg in frontier:
-            matches = _handsome_matches(cur)
-            if matches:
-                name, tag, c2, mv, pr = matches[0]
-                all_tags = [(n, t) for n, t, *_ in matches]
-                return Classification(tag, all_tags, c2, lg + mv, pr)
             for move in _kill_moves(cur):
                 explored += 1
                 if explored > cap * 8:
@@ -314,6 +329,9 @@ def reduce_to_handsome(curve: ParametricCurve) -> Classification:
                 if k in seen:
                     continue
                 seen.add(k)
+                found = _handsome_match(c2, lg2)
+                if found is not None:
+                    return found
                 nxt.append((c2, lg2))
         frontier = nxt
         depth += 1

@@ -3,21 +3,24 @@
 A :class:`LaurentPoly` maps integer exponents to nonzero :class:`Scalar`
 coefficients; the zero polynomial is the empty map.  Plain polynomials
 (nonnegative support) reuse the same type.  :func:`to_dense` and
-:func:`from_dense` convert to and from coefficient lists; division and exact
-division run on those lists in the one dense kernel of :mod:`annuli.rings`,
-over :data:`~annuli.rings.SCALARS`.  The gcd is the one that also decides
-zero divisors in Q(sqrt d)[s]/(m): over Q the heuristic integer gcd (GCDHEU)
-of :mod:`annuli.rings`, and otherwise, or when it gives up, the primitive
-remainder sequence over Z[sqrt d] there, with no Euclid on rationals.
+:func:`from_dense` convert to and from coefficient lists.  Powers and exact
+division run on integers, on Z[sqrt d] lists over one common denominator
+with the list kernel of :mod:`annuli.rings`; the resultant's remainders run
+in its one dense kernel over :data:`~annuli.rings.SCALARS`.  The gcd is the
+one that also decides zero divisors in Q(sqrt d)[s]/(m): over Q the
+heuristic integer gcd (GCDHEU) of :mod:`annuli.rings`, and otherwise, or
+when it gives up, the primitive remainder sequence over Z[sqrt d] there,
+with no Euclid on rationals.
 """
 
 from __future__ import annotations
 
 from itertools import chain
+from math import gcd
 
 from ._ratio import QQ, int_gcd
 # NotDivisible is re-exported: LaurentPoly.divexact raises it
-from .rings import NotDivisible, SCALARS, _field_tag, _heuristic_gcd, _primitive_zz, _zz_gcd, dense_divexact, dense_divmod  # noqa: F401
+from .rings import NotDivisible, SCALARS, _cleared, _field_tag, _heuristic_gcd, _pmul, _primitive_zz, _zadd, _zmul, _zneg, _zz_gcd, _zz_mul, _zz_scalars, dense_divmod, int_divexact  # noqa: F401
 from .scalars import Scalar, ZERO, ONE
 
 
@@ -159,16 +162,27 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "LaurentPoly":
+        """self^k for k >= 0, on integers: the coefficients are cleared to a
+        Z[sqrt d] list over one denominator once, powered by squaring with
+        integer products (:func:`annuli.rings._zz_mul`), and converted once."""
         if k < 0:
             raise ValueError("negative power of a Laurent polynomial")
-        out = LaurentPoly.const(1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        if k == 0 or not self.coeffs:
+            return LaurentPoly.const(1) if k == 0 else LaurentPoly()
+        b = self.bot()
+        cs = to_dense(self.shift(-b))
+        d = _field_tag(cs)
+        X, den = _cleared(cs, d)
+        out, n = None, k
+        while n:
+            if n & 1:
+                out = X if out is None else _zz_mul(out, X, len(out[0]) + len(X[0]) - 1, d)
+            n >>= 1
+            if n:
+                X = _zz_mul(X, X, 2 * len(X[0]) - 1, d)
+        r = LaurentPoly.__new__(LaurentPoly)
+        r.coeffs = {e + b * k: c for e, c in enumerate(_zz_scalars(out, den**k, d)) if not c.is_zero()}
+        return r
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by t^k."""
@@ -209,14 +223,32 @@ class LaurentPoly:
     # -- exact division ----------------------------------------------------------
 
     def divexact(self, g: "LaurentPoly") -> "LaurentPoly":
-        """Exact quotient self / g in the Laurent ring; NotDivisible otherwise."""
+        """Exact quotient self / g in the Laurent ring; NotDivisible otherwise.
+
+        It runs on integers.  Both are cleared to Z[sqrt d] lists F and G;
+        over Q(sqrt d) F and G are first multiplied by the conjugate of G, so
+        that G becomes its norm, a list in Z[t].  G made primitive divides F
+        in Z[t] exactly when g divides self over the field (Gauss's lemma),
+        so one :func:`annuli.rings.int_divexact` per part gives the quotient
+        or raises.
+        """
         if g.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
         if self.is_zero():
             return LaurentPoly()
         sf, sg = self.bot(), g.bot()
-        q = dense_divexact(SCALARS, to_dense(self.shift(-sf)), to_dense(g.shift(-sg)))
-        return from_dense(q).shift(sf - sg)
+        a, b = to_dense(self.shift(-sf)), to_dense(g.shift(-sg))
+        d = _field_tag(chain(a, b))
+        (F, fden), ((G, GB), gden) = _cleared(a, d), _cleared(b, d)
+        if GB and any(GB):
+            F = _pmul(F, (G, _zneg(GB)), d)
+            G = _zadd(_zmul(G, G), [-d * v for v in _zmul(GB, GB)])
+        h = gcd(*G)
+        G = [v // h for v in G]
+        Q = [gden * v for v in int_divexact(F[0], G)], F[1] and [gden * v for v in int_divexact(F[1], G)]
+        r = LaurentPoly.__new__(LaurentPoly)
+        r.coeffs = {e + sf - sg: c for e, c in enumerate(_zz_scalars(Q, fden * h, d)) if not c.is_zero()}
+        return r
 
     # -- misc ---------------------------------------------------------------------
 
@@ -269,12 +301,6 @@ def to_dense(f: LaurentPoly) -> list[Scalar]:
 
 def from_dense(cs: list[Scalar]) -> LaurentPoly:
     return LaurentPoly({e: c for e, c in enumerate(cs)})
-
-
-def poly_divmod(f: LaurentPoly, g: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
-    """Euclidean division of plain polynomials over the field."""
-    q, r = dense_divmod(SCALARS, to_dense(f), to_dense(g))
-    return from_dense(q), from_dense(r)
 
 
 def poly_gcd(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:

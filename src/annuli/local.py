@@ -324,15 +324,14 @@ def singular_parameters(curve: ParametricCurve) -> list[PointAnalysis]:
     return sorted(out, key=PointAnalysis.factor_key)
 
 
-def branch_series_at_point(curve: ParametricCurve, factor: LaurentPoly, window: int):
-    """(x(tau) - x0, y(tau) - y0) per refined factor, for the semigroup oracle."""
-
-    def fn(st: BranchState):
-        R = st.quotient(SCALARS, "pt", to_dense(factor))
-        xs, ys = (_shifted_series(R, f, window) for f in (curve.phi, curve.psi))
-        return from_dense(st.modulus("pt", to_dense(factor))), R, xs, ys
-
-    return explore_branches(fn)
+def branch_series_at_point(st: BranchState, curve: ParametricCurve, factor: LaurentPoly, window: int):
+    """(factor, R, x(tau) - x0, y(tau) - y0) on the branch `st` of `factor`,
+    for the semigroup oracle: the branch's factor at level "pt", its ring R
+    and the two series.  Run it under :func:`explore_branches`, together with
+    whatever decides in R, so that a split refines the branch."""
+    R = st.quotient(SCALARS, "pt", to_dense(factor))
+    xs, ys = (_shifted_series(R, f, window) for f in (curve.phi, curve.psi))
+    return from_dense(st.modulus("pt", to_dense(factor))), R, xs, ys
 
 
 def _shifted_series(R, f: LaurentPoly, window: int) -> TS:

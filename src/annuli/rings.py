@@ -31,8 +31,10 @@ Z[sqrt d] (:func:`_zz_euclid`; Brown & Traub, J. ACM 1971), with the
 cofactor for the inverse only, after GCDHEU (:func:`_heuristic_gcd`) for a
 decision over Q; :func:`annuli.laurent.poly_gcd` runs the same.  The monic
 gcd and the inverse are unique, so every value and every split (each built
-by :meth:`Quotient._split`) equals Euclid's over Q(sqrt d).  Towers keep
-the generic code.
+by :meth:`Quotient._split`) equals Euclid's over Q(sqrt d).  Horner's rule
+in an element x (`horner`, the value of sum_k [rows_k] x^k for base
+polynomials rows_k) is one product and one such reduction per step, with
+one conversion at the end.  Towers keep the generic code.
 
 Every ring also carries the truncated-series kernels of :mod:`annuli.series`
 on coefficient lists: `convolve`, `unit_power` (Miller's recurrence),
@@ -350,6 +352,18 @@ def _zz_mul(x: tuple, y: tuple, n: int, d: int) -> tuple:
     be = int_convolve(b, e, n)
     mid = int_convolve([s + t for s, t in zip(a, b)], [s + t for s, t in zip(c, e)], n)
     return [p + d * q for p, q in zip(ac, be)], [m - p - q for m, p, q in zip(mid, ac, be)]
+
+
+def _zz_add_scaled(x: tuple, y: tuple, s: int) -> tuple:
+    """x + s y for Z[sqrt d] lists x and y (parts of one length each), padded to the longer."""
+
+    def add(f, g):
+        out = f + [0] * (len(g) - len(f))
+        for i, v in enumerate(g):
+            out[i] += s * v
+        return out
+
+    return add(x[0], y[0]), x[1] if x[1] is None else add(x[1], y[1])
 
 
 def _zz_coeff(f: list, g: list, k: int) -> int:
@@ -835,6 +849,38 @@ class Quotient:
         Y = _zz_comb(n, X, 1, _zz_scale(M, (a // h, e // h), d))
         return self._from_ints((Y[0][1:], Y[1] and Y[1][1:]), den * n, d)
 
+    def horner(self, rows: list, x):
+        """sum_k [rows[k]] x^k for base polynomials rows[k] (low -> high), by
+        Horner's rule in x.
+
+        Over the scalars it runs on Z[sqrt d] lists: the rows over one common
+        denominator, x over its own.  Each step is one product and one
+        fraction-free reduction by M (:func:`int_prem`), whose factor joins
+        the running denominator, and the value is converted once.  Over any
+        other base it runs element by element.
+        """
+        ints = self._ints(x, list(chain(*rows))) if rows else None
+        if ints is None:
+            return _horner_rows(self, rows, x)
+        d, ((U, uden), ((A, B), fden)) = ints
+        Z, i = [], 0
+        for r in rows:
+            j = i + len(r)
+            Z.append((A[i:j], B and B[i:j]))
+            i = j
+        M = self._zz_mod(d)
+        P, E = Z[-1], 1
+        for R in reversed(Z[:-1]):
+            P = _zz_add_scaled(_zz_mul(P, U, len(P[0]) + len(U[0]) - 1, d), R, E * uden)
+            k = 1
+            if len(P[0]) > self.deg:
+                k, _, P = int_prem(P, M, d)
+            E *= k * uden
+            h = gcd(E, *P[0], *(P[1] or ()))
+            if h > 1:
+                E, P = E // h, ([v // h for v in P[0]], P[1] and [v // h for v in P[1]])
+        return self._from_ints(P, E * fden, d)
+
     def convolve(self, f: list, g: list, n: int) -> list:
         """The first n coefficients of the product of coefficient lists f and g.
 
@@ -1066,6 +1112,7 @@ class LinearQuotient:
         self.base = base
         self.key = key
         self.root = root
+        self._root_inv = None
         for name in self._BASE_OPS:
             setattr(self, name, getattr(base, name))
 
@@ -1088,14 +1135,30 @@ class LinearQuotient:
         """x times the generator of level `key`: the root, or the generator of a level below."""
         return self.base.mul(x, self.root) if key == self.key else self.base.mul_gen(x, key)
 
+    def horner(self, rows: list, x):
+        """sum_k [rows[k]] x^k for base polynomials rows[k], element by element."""
+        return _horner_rows(self, rows, x)
+
     def div_gen(self, x, key: str):
-        """x over the generator of level `key`: the root, or the generator of a level below."""
-        return self.base.mul(x, self.base.inv(self.root)) if key == self.key else self.base.div_gen(x, key)
+        """x over the generator of level `key`: the root, inverted once, or the generator of a level below."""
+        if key != self.key:
+            return self.base.div_gen(x, key)
+        if self._root_inv is None:
+            self._root_inv = self.base.inv(self.root)
+        return self.base.mul(x, self._root_inv)
 
 
 # ---------------------------------------------------------------------------
 # the dense polynomial kernel over any coefficient ring (lists low -> high)
 # ---------------------------------------------------------------------------
+
+
+def _horner_rows(ring, rows: list, x):
+    """sum_k [rows[k]] x^k in `ring` by Horner's rule, element by element."""
+    acc = ring.zero()
+    for r in reversed(rows):
+        acc = ring.add(ring.mul(acc, x), ring.from_dense(r))
+    return acc
 
 
 def trim(ring, cs: list) -> list:

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from annuli._ratio import QQ
 from annuli import io
-from annuli.bipoly import double_point_system, poly_eval_ring, uv_deg, uv_eval_diag, uv_eval_ring, uv_prs
+from annuli.bipoly import UV, double_point_system, symmetric_mean, uv_deg, uv_eval_u, uv_prs
 from annuli.catalog import default_grid, gen_series, series_id
 from annuli import certify, rings
 from annuli.certify import (
@@ -47,6 +47,84 @@ from annuli.series import TS
 from test_series import ts_scale, ts_sub
 
 t = LaurentPoly.t
+
+
+# -- references: the element-wise evaluations the package no longer runs ------
+
+
+def poly_eval_ring(p: LaurentPoly, ring, x):
+    """p(x) for a plain polynomial p and a ring element x (Horner)."""
+    acc = ring.zero()
+    if p.is_zero():
+        return acc
+    for e in range(p.top(), -1, -1):
+        acc = ring.mul(acc, x)
+        c = p[e]
+        if not c.is_zero():
+            acc = ring.add(acc, ring.from_scalar(c))
+    return acc
+
+
+def ref_uv_eval_u(F: UV, ring, u_val, v_value):
+    """F at u = u_val by Horner in u, element by element, where v_value(p) is
+    the value in `ring` of each v-coefficient p of F."""
+    out = ring.zero()
+    zero = LaurentPoly.zero()
+    for d in range(uv_deg(F), -1, -1):
+        out = ring.add(ring.mul(out, u_val), v_value(F.get(d, zero)))
+    return out
+
+
+def uv_eval_ring(F: UV, ring, u_val, v_val):
+    """Evaluate a UV polynomial at ring elements (u_val, v_val), by Horner in u."""
+    return ref_uv_eval_u(F, ring, u_val, lambda p: poly_eval_ring(p, ring, v_val))
+
+
+def uv_eval_diag(F: UV) -> LaurentPoly:
+    """Substitute u = 2z, v = z^2 (the diagonal t = t' = z)."""
+    out = LaurentPoly.zero()
+    for d, p in F.items():
+        # p(v) -> p(z^2), times (2z)^d
+        pz = LaurentPoly({2 * e: c for e, c in p.coeffs.items()})
+        out = out + pz.shift(d) * Scalar.of(2**d)
+    return out
+
+
+def ref_v_value(ring):
+    """The map p -> p(v) into `ring` for polynomials p in v, the generator of
+    level "wv": the class in that level K, lifted into a "wu" level over K."""
+    K = ring.base if ring.key == "wu" else ring
+    if ring is K:
+        return lambda p: K.from_dense(to_dense(p))
+    return lambda p: ring.from_base(K.from_dense(to_dense(p)))
+
+
+def power_sum_sym_eval(ring, u, fs) -> list:
+    """(f(t) + f(t'))/2 for each f in `fs`, where t + t' = u and t t' = v,
+    the generator of level "wv": the power sums p_k = u p_(k-1) - v p_(k-2),
+    shared by every f, and the negative part by Horner in 1/v."""
+    top = max((max(f.top(), -f.bot()) for f in fs if not f.is_zero()), default=0)
+    pows = [ring.from_scalar(Scalar(2)), u]
+    for _ in range(2, top + 1):
+        pows.append(ring.sub(ring.mul(u, pows[-1]), ring.mul_gen(pows[-2], "wv")))
+    half = Scalar("1/2")
+    out = []
+    for f in fs:
+        acc = ring.zero()
+        if f.is_zero():
+            out.append(acc)
+            continue
+        for k in range(-min(f.bot(), 0), 0, -1):
+            c = f[-k]
+            if not c.is_zero():
+                acc = ring.add(acc, ring.scale(pows[k], c * half))
+            acc = ring.div_gen(acc, "wv")
+        for k in range(max(f.top(), 0) + 1):
+            c = f[k]
+            if not c.is_zero():
+                acc = ring.add(acc, ring.scale(pows[k], c * half))
+        out.append(acc)
+    return out
 
 
 def fixture_narrow_quartic():
@@ -559,6 +637,52 @@ def test_witness_image_equals_the_power_sums_with_inverses(d):
     assert len(kinds) == 6
 
 
+def _random_laurent(rnd: random.Random, d: int, bot: int, top: int) -> LaurentPoly:
+    return LaurentPoly({e: Scalar(rnd.randint(-3, 3), rnd.randint(-1, 1) if d != 1 else 0, d) for e in range(bot, top + 1)})
+
+
+@pytest.mark.parametrize("d", [1, 2, -3])
+def test_closed_form_witness_image_equals_the_power_sum_recurrence(d):
+    """At every tower shape: linear and nonlinear "wv" with a linear u, and a
+    "wu" level over each, quadratic and split to linear."""
+    rnd = random.Random(20261022 + d)
+    kinds = set()
+    for _ in range(6):
+        for name, ring, u, _ in _witness_rings(d, rnd):
+            fs = [_random_laurent(rnd, d, rnd.randint(-6, 2), rnd.randint(2, 7)) for _ in range(2)]
+            fs += [_random_laurent(rnd, d, 0, rnd.randint(1, 4)), LaurentPoly.zero()]
+            assert certify._sym_eval(ring, u, fs) == power_sum_sym_eval(ring, u, fs), name
+            kinds.add(name)
+    assert len(kinds) == 6
+
+
+@pytest.mark.parametrize("d", [1, 2, -3])
+def test_uv_eval_u_equals_elementwise_horner(d):
+    """uv_eval_u at every tower shape against Horner in u element by element,
+    on random UV polynomials whose v-degrees pass deg m, and on zero."""
+    rnd = random.Random(20261023 + d)
+    for _ in range(5):
+        for name, ring, u, _ in _witness_rings(d, rnd):
+            F = {k: _random_laurent(rnd, d, 0, rnd.randint(0, 6)) for k in range(rnd.randint(0, 5))}
+            F = {k: p for k, p in F.items() if not p.is_zero()}
+            assert uv_eval_u(F, ring, u) == ref_uv_eval_u(F, ring, u, ref_v_value(ring)), name
+            assert uv_eval_u({}, ring, u) == ring.zero(), name
+
+
+def test_symmetric_mean_at_rational_pairs():
+    """v^a (f(x) + f(y)) / 2 at u = x + y, v = x y, over Q and Q(sqrt 2)."""
+    rnd = random.Random(20261024)
+    for d in (1, 2):
+        for _ in range(25):
+            f = _random_laurent(rnd, d, rnd.randint(-5, 1), rnd.randint(0, 6))
+            S, a = symmetric_mean(f)
+            assert a == max(0, -f.bot()) if not f.is_zero() else a == 0
+            x = Scalar(QQ(rnd.choice((-1, 1)) * rnd.randint(1, 9), rnd.randint(1, 5)))
+            y = Scalar(QQ(rnd.choice((-1, 1)) * rnd.randint(1, 9), rnd.randint(1, 5)))
+            want = (x * y) ** a * (f.eval(x) + f.eval(y)) * Scalar("1/2")
+            assert uv_eval_ring(S, SCALARS, x + y, x * y) == want
+
+
 def _workload_inputs(workload: str, seed: int, scale: float) -> list:
     """The curve files of a benchmark workload at a reduced scale."""
     path = Path(__file__).resolve().parent.parent / "annuli_bench" / "workloads.py"
@@ -848,7 +972,7 @@ def test_oracle_matches_the_reference_at_every_finite_grid_point():
         c = gen_series(sid)
         for e in ph_ledger(c).finite:
             for bound in (e.mu + e.n + 4, e.n + 1, e.mu // 2 + 1):
-                for _, ring, xs, ys in branch_series_at_point(c, e.factor, bound + 2):
+                for _, ring, xs, ys in explore_branches(lambda st: branch_series_at_point(st, c, e.factor, bound + 2)):
                     new, ref = _both_oracles(ring, xs, ys, bound)
                     assert new == ref, f"{sid} at {e.factor!r}, bound {bound}"
                     if bound == e.mu + e.n + 4:

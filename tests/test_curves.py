@@ -3,10 +3,12 @@ import pytest
 from annuli import curves as curves_module
 from annuli.catalog import gen_series, series_id
 from annuli.curves import (
+    ALL_TAGS,
     MINUS_MINUS,
     MINUS_PLUS,
     MIXED,
     PLUS_PLUS,
+    Classification,
     NonTermination,
     ParametricCurve,
     Unclassifiable,
@@ -15,14 +17,93 @@ from annuli.curves import (
     detect_nonprimitive,
     dim_curv,
     exponent_profile,
-    is_handsome,
+    is_handsome_profile,
     reduce_to_handsome,
+    row_match,
+    _kill_moves,
+    _strip_constants,
 )
-from annuli.laurent import LaurentPoly
+from annuli.laurent import ConstantComponent, LaurentPoly
 from annuli.reports import analyze_curve
 from annuli.scalars import Scalar
 
 t = LaurentPoly.t
+
+
+# -- references: the handsome test and the level-by-level search --------------
+
+
+def is_handsome(curve: ParametricCurve) -> bool:
+    """True iff the curve, as positioned, matches a type row handsomely."""
+    pr = exponent_profile(curve)
+    for tag in ALL_TAGS:
+        if row_match(pr, tag):
+            return is_handsome_profile(pr, tag)
+    return False
+
+
+_REF_SYMS = (
+    ("id", lambda c: c, []),
+    ("inv_t", lambda c: c.inv_t(), [{"kind": "inv_t"}]),
+    ("swap", lambda c: c.swapped(), [{"kind": "swap_xy"}]),
+    ("swap_inv", lambda c: c.swapped().inv_t(), [{"kind": "swap_xy"}, {"kind": "inv_t"}]),
+)
+
+
+def _ref_handsome_matches(curve: ParametricCurve):
+    res = []
+    for name, f, mv in _REF_SYMS:
+        c2 = f(curve)
+        pr = exponent_profile(c2)
+        for tag in ALL_TAGS:
+            if row_match(pr, tag) and is_handsome_profile(pr, tag):
+                res.append((name, tag, c2, mv, pr))
+    return res
+
+
+def ref_reduce_to_handsome(curve: ParametricCurve) -> Classification:
+    """The BFS that expands a whole level before it looks at it: each curve of
+    a frontier is checked for a handsome match, with every symmetric image
+    built and profiled, before the kill moves of the next level are made."""
+    curve.check_admissible()
+    pc = detect_nonprimitive(curve)
+    if pc["kind"] == "PowerCover":
+        raise Unclassifiable(f"curve is multiply covered (t^{pc['d']})")
+    cap = curves_module._reduction_cap(exponent_profile(curve))
+    log0: list = []
+    start = _strip_constants(curve, log0)
+    frontier = [(start, log0)]
+    seen = {start.key()}
+    explored = depth = 0
+    while frontier:
+        nxt = []
+        for cur, lg in frontier:
+            matches = _ref_handsome_matches(cur)
+            if matches:
+                name, tag, c2, mv, pr = matches[0]
+                all_tags = [(n, tg) for n, tg, *_ in matches]
+                return Classification(tag, all_tags, c2, lg + mv, pr)
+            for move in _kill_moves(cur):
+                explored += 1
+                if explored > cap * 8:
+                    raise NonTermination(f"handsome reduction cap exceeded: {cap * 8} kill moves tried at depth {depth}")
+                c2 = apply_automorphism(cur, move)
+                lg2 = lg + [move]
+                c2 = _strip_constants(c2, lg2)
+                try:
+                    c2.check_admissible()
+                except ConstantComponent:
+                    continue
+                k = c2.key()
+                if k in seen:
+                    continue
+                seen.add(k)
+                nxt.append((c2, lg2))
+        frontier = nxt
+        depth += 1
+        if len(frontier) > cap * 4:
+            raise NonTermination(f"handsome reduction frontier explosion: {len(frontier)} curves at depth {depth}")
+    raise Unclassifiable("no handsome representative found")
 
 
 def curve(phi, psi):
@@ -75,8 +156,6 @@ def test_handsome_examples():
 
 def test_reduce_single_elementary_move():
     # phi = t^2, psi = t^4 + t: the move y -> y - x^2 kills the quartic term
-    from annuli.curves import _kill_moves
-
     c = curve(t(2), t(4) + t(1))
     mv = [m for m in _kill_moves(c) if m["kind"] == "y_plus_c_xl"]
     assert mv and mv[0]["l"] == 2
@@ -162,3 +241,63 @@ def test_reduction_budget_gives_a_classification_error(monkeypatch):
     assert {k: v for k, v in report.items() if k not in ("classification", "regularity")} == {
         k: v for k, v in want.items() if k not in ("classification", "regularity")
     }
+
+
+# ---------------------------------------------------------------------------
+# the one-pass reduction against the level-by-level reference
+# ---------------------------------------------------------------------------
+
+
+def _outcome(reduce, c):
+    """What a reduction gives on c: the whole Classification, or its error."""
+    try:
+        cl = reduce(c)
+    except (Unclassifiable, NonTermination, ConstantComponent) as exc:
+        return type(exc).__name__, str(exc)
+    return cl.tag, cl.all_tags, cl.curve.key(), cl.moves, cl.profile
+
+
+@pytest.mark.parametrize("workload,seed", [("refute", 1), ("refute", 2), ("fields", 1), ("fields", 2)])
+def test_one_pass_reduction_equals_the_level_by_level_search_on_workloads(workload, seed):
+    from annuli import io
+    from test_certify import _workload_inputs
+
+    for i, text in enumerate(_workload_inputs(workload, seed, 1.0)):
+        c = io.parse_curve_file(text)
+        assert _outcome(reduce_to_handsome, c) == _outcome(ref_reduce_to_handsome, c), (workload, seed, i)
+
+
+def test_one_pass_reduction_equals_the_level_by_level_search_on_the_grid_and_its_images():
+    """Every grid member, and its images under a swap or not, then
+    y -> y + a x^l + b for each l <= 3."""
+    import random
+
+    from annuli.catalog import default_grid
+
+    rng = random.Random("one-pass reduction images")
+    for sid in default_grid():
+        c = gen_series(sid)
+        assert _outcome(reduce_to_handsome, c) == _outcome(ref_reduce_to_handsome, c), str(sid)
+        for l in (1, 2, 3):
+            x, y = (c.psi, c.phi) if rng.random() < 0.5 else (c.phi, c.psi)
+            a, b = rng.choice((-2, -1, 1, 2)), rng.randint(-2, 2)
+            image = ParametricCurve(x, y + x**l * a + LaurentPoly.const(b))
+            assert _outcome(reduce_to_handsome, image) == _outcome(ref_reduce_to_handsome, image), (str(sid), l)
+
+
+def test_one_pass_reduction_past_its_cap_raises_non_termination(monkeypatch):
+    """(w) under y -> y + x, x -> x + y^2, y -> y + x^2, x -> x + y: the
+    one-pass search tries 31 kill moves on the way back.  With a budget of 24
+    it stops, as the level-by-level search does."""
+    c = gen_series(series_id("w"))
+    for side, l in (("y", 1), ("x", 2), ("y", 2), ("x", 1)):
+        c = ParametricCurve(c.phi, c.psi + c.phi**l) if side == "y" else ParametricCurve(c.phi + c.psi**l, c.psi)
+    tried = []
+    real = curves_module.apply_automorphism
+    monkeypatch.setattr(curves_module, "apply_automorphism", lambda cur, mv: tried.append(mv) or real(cur, mv))
+    assert reduce_to_handsome(c).tag == MIXED
+    assert len(tried) == 31
+    monkeypatch.setattr(curves_module, "_reduction_cap", lambda prof: 3)
+    for reduce in (reduce_to_handsome, ref_reduce_to_handsome):
+        with pytest.raises(NonTermination, match="handsome reduction cap exceeded: 24 kill moves tried"):
+            reduce(c)

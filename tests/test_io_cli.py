@@ -179,6 +179,18 @@ def test_cli_oracle_delta(tmp_path, capsys):
     assert "delta = 4" in out
 
 
+def test_cli_oracle_delta_refines_a_factor_whose_roots_differ(tmp_path, capsys):
+    """On (w), t = 1 is the cusp and t = 2 a smooth point: the oracle splits
+    t^2 - 3t + 2 and prints one line per refined factor."""
+    w = tmp_path / "w.json"
+    assert main(["catalog", "gen", "--series", "w", "--out", str(w)]) == 0
+    capsys.readouterr()
+    assert main(["oracle", "delta", str(w), "--point", "t^2-3*t+2"]) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    assert out.out.splitlines() == ["factor t - 1: delta = 1", "factor t - 2: delta = 0"]
+
+
 def test_point_surd_outside_the_curve_field_is_a_parse_error(tmp_path, capsys):
     with pytest.raises(ParseError, match=r"sqrt\(2\) is not in the curve's field"):
         parse_point_factor("t-sqrt(2)", 5)

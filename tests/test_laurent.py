@@ -10,16 +10,41 @@ from annuli.laurent import (
     NotDivisible,
     from_dense,
     make_poly,
-    poly_divmod,
     poly_gcd,
     resultant,
     squarefree_part,
     to_dense,
 )
-from annuli.rings import SCALARS, quotient_gcd
+from annuli.rings import SCALARS, dense_divexact, dense_divmod, quotient_gcd
 from annuli.scalars import Scalar
 
 t = LaurentPoly.t
+
+
+# -- references: division and powers element by element over the field -------
+
+
+def poly_divmod(f: LaurentPoly, g: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
+    """Euclidean division of plain polynomials over the field."""
+    q, r = dense_divmod(SCALARS, to_dense(f), to_dense(g))
+    return from_dense(q), from_dense(r)
+
+
+def ref_divexact(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
+    """f / g in the Laurent ring by the dense field kernel; NotDivisible otherwise."""
+    if f.is_zero():
+        return LaurentPoly()
+    sf, sg = f.bot(), g.bot()
+    q = dense_divexact(SCALARS, to_dense(f.shift(-sf)), to_dense(g.shift(-sg)))
+    return from_dense(q).shift(sf - sg)
+
+
+def ref_pow(f: LaurentPoly, k: int) -> LaurentPoly:
+    """f^k as k - 1 products of Scalars."""
+    out = LaurentPoly.const(1)
+    for _ in range(k):
+        out = out * f
+    return out
 
 
 def test_product():
@@ -115,6 +140,59 @@ def surd_polys(d, max_deg):
         )
 
     return st.lists(st.tuples(surd_part, surd_part), min_size=1, max_size=max_deg + 1).map(poly)
+
+
+def laurent_polys(d, max_deg):
+    """Polynomials over Q(sqrt d) (over Q for d = 1) times t^s, s in -4..2."""
+
+    def poly(pairs, s):
+        return LaurentPoly(
+            {i + s: Scalar(f"{a.numerator}/{a.denominator}", f"{b.numerator}/{b.denominator}" if d != 1 else 0, d)
+             for i, (a, b) in enumerate(pairs)}
+        )
+
+    pairs = st.lists(st.tuples(surd_part, surd_part), min_size=1, max_size=max_deg + 1)
+    return st.builds(poly, pairs, st.integers(min_value=-4, max_value=2))
+
+
+@given(st.sampled_from([1, 2, 5, -3]).flatmap(lambda d: st.tuples(laurent_polys(d, 5), st.integers(min_value=0, max_value=8))))
+@settings(max_examples=150, deadline=None)
+def test_integer_power_equals_repeated_products(fk):
+    f, k = fk
+    assert f**k == ref_pow(f, k)
+
+
+@given(st.sampled_from([1, 2, 5, -3]).flatmap(lambda d: st.tuples(laurent_polys(d, 5), laurent_polys(d, 3), st.booleans())))
+@settings(max_examples=150, deadline=None)
+def test_integer_divexact_equals_the_field_division(fgp):
+    """On products (exact) and on random pairs (mostly not): the same
+    quotient, or NotDivisible from both."""
+    f, g, product = fgp
+    assume(not g.is_zero())
+    if product:
+        f = f * g
+    try:
+        want = ref_divexact(f, g)
+    except NotDivisible:
+        with pytest.raises(NotDivisible):
+            f.divexact(g)
+    else:
+        assert f.divexact(g) == want
+
+
+def test_integer_divexact_through_the_norm():
+    """A divisor with a surd part over Q(sqrt 2), its conjugate, and a
+    rational divisor of a surd dividend."""
+    s2 = Scalar(0, 1, 2)
+    g = t(1) - LaurentPoly.const(s2)
+    gbar = t(1) + LaurentPoly.const(s2)
+    f = (g * gbar * (t(2) + 3)).shift(-3)
+    assert f.divexact(g) == (gbar * (t(2) + 3)).shift(-3)
+    assert f.divexact(t(2) - 2) == LaurentPoly({-1: 1, -3: 3})
+    with pytest.raises(NotDivisible):
+        (g * (t(2) + 3)).divexact(gbar)
+    with pytest.raises(NotDivisible):
+        (t(2) * s2 + 1).divexact(t(1) * 2 + 1)
 
 
 @given(st.sampled_from([2, 5, -3]).flatmap(lambda d: st.tuples(surd_polys(d, 6), surd_polys(d, 4))))

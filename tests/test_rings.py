@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 import annuli
 from annuli import laurent, rings
-from annuli.bipoly import poly_eval_ring
 from annuli._ratio import QQ
 from annuli.laurent import LaurentPoly, poly_gcd, make_poly
 from annuli.rings import (
@@ -27,6 +26,7 @@ from annuli.rings import (
 )
 from annuli.scalars import DivisionByZero, FieldMismatch, Scalar
 from annuli.series import TS, laurent_at_shifted_point
+from test_certify import poly_eval_ring
 from test_series import ts_scale, ts_sub
 
 
@@ -374,6 +374,17 @@ def _reference_convolve(R, f, g, n):
     return out
 
 
+def _reference_horner(R, rows, x):
+    """sum_k [rows[k]] x^k by Horner's rule, each step reduced one Fraction coefficient at a time."""
+    acc = R.zero()
+    for row in reversed(rows):
+        prod = dense_mul(SCALARS, list(acc), list(x))
+        n = max(len(prod), len(row))
+        prod, row = prod + [Scalar(0)] * (n - len(prod)), row + [Scalar(0)] * (n - len(row))
+        acc = _reference_reduce(R.mod, [a + b for a, b in zip(prod, row)])
+    return acc
+
+
 def _outcome(op, *args):
     try:
         return "value", op(*args)
@@ -418,6 +429,9 @@ def test_integer_quotient_arithmetic_matches_the_fraction_reference(data):
     ref = _outcome(_reference_inv, R, x)
     assert _outcome(R.inv, x) == ref
     assert _outcome(R.decide_zero, x) == (ref if ref[0] == "split" else ("value", ref == "zero"))
+    # Horner's rule in x over base polynomials of any length, the modulus non-monic over Z
+    rows = data.draw(st.lists(st.lists(scalars_in(1), max_size=2 * R.deg + 1), max_size=5), label="rows")
+    assert R.horner(rows, x) == _reference_horner(R, rows, x)
 
 
 @given(data=st.data())
@@ -513,6 +527,8 @@ def test_surd_quotient_arithmetic_matches_the_fraction_reference(d, surd_modulus
     ref = _outcome(_reference_inv, R, x)
     assert _outcome(R.inv, x) == ref
     assert _outcome(R.decide_zero, x) == (ref if ref[0] == "split" else ("value", ref == "zero"))
+    rows = data.draw(st.lists(st.lists(scalars_in(d), max_size=2 * R.deg + 1), max_size=4), label="rows")
+    assert R.horner(rows, x) == _reference_horner(R, rows, x)
     # products and quotients by the generator s
     assert R.mul_gen(x, "wv") == _reference_reduce(R.mod, [Scalar(0), *x])
     if not R.mod[0].is_zero():
